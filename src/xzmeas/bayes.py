@@ -1,11 +1,17 @@
 """Discrete-time quantum Bayesian state update from readout records.
 
-Replicates the experimental reconstruction pipeline: per step, a Gaussian
-Bayesian update for the z channel, the same update for the x channel
-conjugated by a +-pi/2 rotation about y, then the exact environmental map
-(residual Rabi rotation composed with uniform depolarization in the xz
-plane).  Off-diagonal elements pick up an extra damping exp[-(Gamma -
-1/(2 tau)) dt], which vanishes for ideal measurements.
+Replicates the experimental reconstruction pipeline: per step, the Gaussian
+Bayesian update for the z channel, the same update for the phi channel,
+then the exact environmental map (residual Rabi rotation composed with
+uniform depolarization in the xz plane).  One update formula serves any
+axis n = (sin phi, 0, cos phi): with m = n.q and a = r dt/tau,
+
+    q' = E (q - m n)/(cosh a + m sinh a) + n (m cosh a + sinh a)/(cosh a + m sinh a),
+
+where the extra damping E = exp[-(Gamma - 1/(2 tau)) dt] of the components
+transverse to the axis vanishes for ideal measurements (Rouchon & Ralph,
+PRA 91, 012118 (2015)).  One fused replay kernel runs the whole batch on
+rows of Bloch coordinates; a single record is a batch of one.
 """
 from __future__ import annotations
 
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BlochState, ChannelConfig, QubitEnvironment, SimConfig
-from .sde import ReadoutRecord, Trajectory
+from .sde import _BLOCK, ReadoutRecord, Trajectory, _xz_entries
 
 #: positivity slack before a reconstruction error is raised
 POSITIVITY_TOL = 1e-10
@@ -52,43 +58,52 @@ class DensityMatrix2:
         return cls((1 + q.z) / 2, (1 - q.z) / 2, complex(q.x, -q.y) / 2)
 
 
-def _measure_z_arr(x, y, z, r, dt: float, channel: ChannelConfig):
-    """Vectorized z-axis Bayesian update in Bloch coordinates.
+def _channel_constants(dt: float, channel: ChannelConfig) -> tuple:
+    """(sin phi, cos phi, E, dt / tau) of a channel, for ``_measure``.
 
-    Population reweighting by exp[-(r -+ 1)^2 dt / 2 tau] reduces to the tanh
-    form below; the (4 pi tau / dt)^(-1/2) operator prefactor cancels in the
-    ratio and is omitted.
+    E = exp[-(Gamma - 1/(2 tau)) dt] is the extra damping of the components
+    transverse to the axis.
     """
-    tau = channel.tau
-    a = np.asarray(r) * dt / tau
-    ca, sa = np.cosh(a), np.sinh(a)
-    denom = ca + z * sa
-    extra = math.exp(-(channel.gamma - 1.0 / (2 * tau)) * dt)
-    damp = extra / denom
-    return x * damp, y * damp, (z * ca + sa) / denom
+    s, _, c = channel.axis
+    extra = math.exp(-(channel.gamma - 1.0 / (2 * channel.tau)) * dt)
+    return np.array(s), np.array(c), np.array(extra), dt / channel.tau
 
 
-def _measure_x_arr(x, y, z, r, dt: float, channel: ChannelConfig):
-    """x-axis update: conjugate the z-axis update by the -pi/2 rotation about y."""
-    # (x, y, z) -> (-z, y, x), z-type update, rotate back
-    xr, yr, zr = _measure_z_arr(-z, y, x, r, dt, channel)
-    return zr, yr, -xr
+def _update_coefficients(r, const: tuple) -> tuple:
+    """(cosh a - E, sinh a, cosh a) for readouts r, with a = r dt / tau.
+
+    Population reweighting by exp[-(r -+ 1)^2 dt / 2 tau] along the axis
+    reduces to these; the (4 pi tau / dt)^(-1/2) operator prefactor cancels.
+    """
+    a = np.asarray(r) * const[3]
+    ca = np.cosh(a)
+    return ca - const[2], np.sinh(a), ca
+
+
+def _measure(x, y, z, const, cme, sa, ca):
+    """One channel's update, as [E q + n (m (cosh a - E) + sinh a)] / (cosh a + m sinh a)."""
+    s, c, extra, _ = const
+    m = s * x + c * z
+    inv = 1.0 / (ca + m * sa)
+    f = extra * inv
+    g = (m * cme + sa) * inv
+    return f * x + s * g, f * y, f * z + c * g
 
 
 def _project_positivity(x, y, z, where: str):
     """Rescale (x, y) onto the sphere for rounding-level violations."""
     n2 = x * x + y * y + z * z
-    excess = n2 - 1.0
-    bad = excess > POSITIVITY_TOL
-    if np.any(bad):
-        raise ReconstructionError(
-            f"positivity violated by {float(np.max(excess)):.3g} at {where}"
-        )
-    over = n2 > 1.0
-    if np.any(over):
+    worst = n2.max()
+    if worst > 1.0:
+        if worst - 1.0 > POSITIVITY_TOL:
+            raise ReconstructionError(
+                f"positivity violated by {float(worst) - 1.0:.3g} at {where}"
+            )
         trans = x * x + y * y
         scale = np.where(
-            over & (trans > 0), np.sqrt(np.maximum(1.0 - z * z, 0.0) / np.where(trans > 0, trans, 1.0)), 1.0
+            (n2 > 1.0) & (trans > 0),
+            np.sqrt(np.maximum(1.0 - z * z, 0.0) / np.where(trans > 0, trans, 1.0)),
+            1.0,
         )
         x, y = x * scale, y * scale
     return x, y, z
@@ -97,36 +112,30 @@ def _project_positivity(x, y, z, where: str):
 def bayes_update(
     rho: DensityMatrix2, readout: float, dt: float, channel: ChannelConfig
 ) -> DensityMatrix2:
-    """Quantum Bayesian update of ``rho`` for one readout of one channel.
+    """Quantum Bayesian update of ``rho`` for one readout of one channel at any
+    axis angle."""
+    const = _channel_constants(dt, channel)
+    x, y, z = rho.to_bloch().as_array()[:, None]
+    x, y, z = _measure(x, y, z, const, *_update_coefficients(readout, const))
+    x, y, z = _project_positivity(x, y, z, "bayes_update")
+    return DensityMatrix2.from_bloch(BlochState(x.item(), y.item(), z.item()))
 
-    The channel's axis_angle selects the z-type (0) or x-type (pi/2) update.
+
+def _env_matrix(dt: float, env: QubitEnvironment) -> np.ndarray:
+    """Exact map of the residual Rabi rotation and depolarization over dt.
+
+    Integrates xdot = -gamma x + Omega z, zdot = -gamma z - Omega x; y is
+    damped at the same rate.
     """
-    q = rho.to_bloch()
-    if abs(math.sin(channel.axis_angle)) < 1e-12:
-        x, y, z = _measure_z_arr(q.x, q.y, q.z, readout, dt, channel)
-    elif abs(math.cos(channel.axis_angle)) < 1e-12:
-        x, y, z = _measure_x_arr(q.x, q.y, q.z, readout, dt, channel)
-    else:
-        raise ValueError("bayes_update supports z- and x-axis channels only")
-    x, y, z = _project_positivity(
-        np.asarray(x), np.asarray(y), np.asarray(z), "bayes_update"
-    )
-    return DensityMatrix2.from_bloch(BlochState(float(x), float(y), float(z)))
-
-
-def _env_step_arr(x, y, z, dt: float, env: QubitEnvironment):
     damp = math.exp(-env.depolarization_rate * dt)
     ang = env.rabi_detuning * dt
     c, s = math.cos(ang), math.sin(ang)
-    # exact integral of xdot = -gamma x + Omega z, zdot = -gamma z - Omega x;
-    # y is damped at the same rate (see module notes)
-    return damp * (x * c + z * s), damp * y, damp * (z * c - x * s)
+    return damp * np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 def env_step(q: BlochState, dt: float, env: QubitEnvironment) -> BlochState:
     """Exact evolution under residual Rabi rotation and xz depolarization."""
-    x, y, z = _env_step_arr(q.x, q.y, q.z, dt, env)
-    return BlochState(x, y, z)
+    return BlochState.from_array(_env_matrix(dt, env) @ q.as_array())
 
 
 def reconstruct(
@@ -134,7 +143,7 @@ def reconstruct(
 ) -> Trajectory:
     """Bloch trajectory implied by a readout record.
 
-    Applies the z measurement, then the x measurement, then the environment
+    Applies the z measurement, then the phi measurement, then the environment
     map for each step; the ordering ambiguity is O(dt^2).
     """
     states = reconstruct_batch(
@@ -150,24 +159,25 @@ def reconstruct(
 def reconstruct_batch(
     r_z: np.ndarray, r_x: np.ndarray, q_in: np.ndarray, cfg: SimConfig
 ) -> np.ndarray:
-    """Vectorized reconstruction.  r_z, r_x: (n_steps, m).  Returns
-    states of shape (n_steps + 1, m, 3)."""
-    cz, cp = cfg.channels
+    """Fused replay of a batch.  r_z, r_x: (n_steps, m) readouts of the z and
+    phi channels.  Returns states of shape (n_steps + 1, m, 3)."""
     n, m = r_z.shape
+    zc, pc = (_channel_constants(cfg.dt, ch) for ch in cfg.channels)
+    e00, e02, e11, e20, e22 = _xz_entries(_env_matrix(cfg.dt, cfg.environment))
     states = np.empty((n + 1, m, 3))
-    x = np.full(m, q_in[0], dtype=float)
-    y = np.full(m, q_in[1], dtype=float)
-    z = np.full(m, q_in[2], dtype=float)
-    states[0] = np.stack([x, y, z], axis=-1)
-    for k in range(n):
-        x, y, z = _measure_z_arr(x, y, z, r_z[k], cfg.dt, cz)
-        x, y, z = _measure_x_arr(x, y, z, r_x[k], cfg.dt, cp)
-        try:
-            x, y, z = _project_positivity(x, y, z, f"step {k}")
-        except ReconstructionError as exc:
-            raise ReconstructionError(str(exc)) from None
-        x, y, z = _env_step_arr(x, y, z, cfg.dt, cfg.environment)
-        states[k + 1] = np.stack([x, y, z], axis=-1)
+    rows = states.transpose(0, 2, 1)
+    rows[0] = np.asarray(q_in, dtype=float)[:, None]
+    x, y, z = rows[0].copy()
+    for k0 in range(0, n, _BLOCK):
+        cz, sz, hz = _update_coefficients(r_z[k0:k0 + _BLOCK], zc)
+        cp, sp, hp = _update_coefficients(r_x[k0:k0 + _BLOCK], pc)
+        for j in range(len(cz)):
+            x, y, z = _measure(x, y, z, zc, cz[j], sz[j], hz[j])
+            x, y, z = _measure(x, y, z, pc, cp[j], sp[j], hp[j])
+            x, y, z = _project_positivity(x, y, z, f"step {k0 + j}")
+            x, y, z = e00 * x + e02 * z, e11 * y, e20 * x + e22 * z
+            out = rows[k0 + j + 1]
+            out[0], out[1], out[2] = x, y, z
     return states
 
 

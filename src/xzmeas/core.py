@@ -105,6 +105,11 @@ class ChannelConfig:
         """Derived characteristic measurement time; never stored separately."""
         return measurement_time(self.gamma, self.eta)
 
+    @property
+    def axis(self) -> np.ndarray:
+        """Unit vector (sin phi, 0, cos phi) of the measured axis."""
+        return np.array([math.sin(self.axis_angle), 0.0, math.cos(self.axis_angle)])
+
 
 @dataclass(frozen=True)
 class QubitEnvironment:

@@ -1,10 +1,20 @@
 """Ito integration of the stochastic master equation and ensemble generation.
 
-The Cartesian integrator handles an arbitrary angle between the two measured
-axes plus residual Rabi rotation and depolarization.  The polar integrator is
-an opt-in fast path for the ideal equal-strength XZ case, where the dynamics
-is exact free diffusion of the polar angle and therefore can be sampled with
-no discretization error.
+One fused Euler-Maruyama kernel advances a batch of m Bloch vectors held as
+a structure of arrays: contiguous rows x, y, z of length m.  A channel with
+axis n_c = (sin phi_c, 0, cos phi_c) and measurement time tau_c contributes a
+linear drift and the diffusion vector (n_c - (n_c.q) q)/sqrt(tau_c), so with
+A the whole linear drift (both channels' dephasing, residual Rabi rotation
+and depolarization) a step is
+
+    q' = M q + sqrt(dt) (w - (w.q) q),  M = I + A dt,  w = sum_c n_c xi_c / sqrt(tau_c),
+
+and the readouts n_c.q + sqrt(tau_c/dt) xi_c share the draws xi_c.  Any angle
+between the two measured axes is handled.  A single trajectory is an
+ensemble of one and runs through the same kernel.  The polar sampler is an
+opt-in fast path for the ideal equal-strength XZ case, where the dynamics is
+exact free diffusion of the polar angle and therefore can be sampled with no
+discretization error.
 
 Random numbers: every trajectory owns a counter-based Philox stream keyed by
 (seed, stream_id), so ensembles are reproducible regardless of execution
@@ -19,18 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    NORM_TOL,
-    BlochState,
-    ChannelConfig,
-    PolarState,
-    QubitEnvironment,
-    SimConfig,
-)
+from .core import NORM_TOL, BlochState, ChannelConfig, QubitEnvironment, SimConfig
 
 
 class IntegratorError(RuntimeError):
-    """Bloch norm exceeded 1 + NORM_TOL; names the offending step."""
+    """Bloch norm left the overshoot window; names the offending step."""
 
 
 @dataclass(frozen=True)
@@ -74,50 +77,8 @@ class Ensemble:
 
 
 # ---------------------------------------------------------------------------
-# drift and diffusion coefficients
+# the fused step kernel
 # ---------------------------------------------------------------------------
-
-def _drift_arr(q: np.ndarray, channels, environment: QubitEnvironment) -> np.ndarray:
-    """Deterministic velocity for states q of shape (..., 3)."""
-    cz, cp = channels
-    gz, gp, phi = cz.gamma, cp.gamma, cp.axis_angle
-    gamma = environment.depolarization_rate
-    omega = environment.rabi_detuning
-    x, y, z = q[..., 0], q[..., 1], q[..., 2]
-    s2 = 0.5 * gp * math.sin(2 * phi)
-    out = np.empty_like(q)
-    out[..., 0] = -(gz + gp * math.cos(phi) ** 2) * x + s2 * z - gamma * x + omega * z
-    out[..., 1] = -(gz + gp) * y
-    out[..., 2] = -gp * math.sin(phi) ** 2 * z + s2 * x - gamma * z - omega * x
-    return out
-
-
-def _noise_vec_arr(q: np.ndarray, channel: ChannelConfig) -> np.ndarray:
-    """Diffusion coefficient vector g(q) for one channel, shape (..., 3).
-
-    The z channel is the axis_angle = 0 special case of the same expression.
-    """
-    phi = channel.axis_angle
-    s, c = math.sin(phi), math.cos(phi)
-    rt = 1.0 / math.sqrt(channel.tau)
-    x, y, z = q[..., 0], q[..., 1], q[..., 2]
-    out = np.empty_like(q)
-    out[..., 0] = ((1 - x**2) * s - x * z * c) * rt
-    out[..., 1] = (-x * y * s - y * z * c) * rt
-    out[..., 2] = ((1 - z**2) * c - x * z * s) * rt
-    return out
-
-
-def drift(q: BlochState, channels, environment: QubitEnvironment) -> BlochState:
-    """Deterministic part of dq/dt (measurement dephasing + environment)."""
-    v = _drift_arr(q.as_array(), channels, environment)
-    # tangent vector, not a state: bypass the norm check
-    out = BlochState.__new__(BlochState)
-    object.__setattr__(out, "x", float(v[0]))
-    object.__setattr__(out, "y", float(v[1]))
-    object.__setattr__(out, "z", float(v[2]))
-    return out
-
 
 #: overshoot scale allowed before a step is declared unstable, in units of
 #: dt/tau.  Euler-Maruyama fluctuates the squared norm by ~(n^2 - 1)*dt/tau
@@ -125,64 +86,85 @@ def drift(q: BlochState, channels, environment: QubitEnvironment) -> BlochState:
 #: back (standard projected Euler-Maruyama); anything larger is a bug.
 _OVERSHOOT_FACTOR = 30.0
 
-
-def _renormalize(q: np.ndarray, step: int, window: float = NORM_TOL) -> np.ndarray:
-    """Project norms in (1, 1 + window] onto the sphere; raise beyond that."""
-    n2 = np.einsum("...i,...i->...", q, q)
-    bad = n2 > (1.0 + window) ** 2
-    if np.any(bad):
-        worst = float(np.sqrt(n2.max()))
-        raise IntegratorError(
-            f"Bloch norm {worst:.12g} exceeds 1 + {window:.3g} at step {step}"
-        )
-    over = n2 > 1.0
-    if np.any(over):
-        q = np.where(over[..., None], q / np.sqrt(n2)[..., None], q)
-    return q
+#: steps whose noise terms and readouts are computed in one vectorized pass;
+#: bounds that scratch to _BLOCK x batch width
+_BLOCK = 16
 
 
-def _ito_step_arr(q, noise_z, noise_phi, cfg: SimConfig, step: int = 0):
-    cz, cp = cfg.channels
-    dt = cfg.dt
-    sq = math.sqrt(dt)
-    qn = (
-        q
-        + _drift_arr(q, cfg.channels, cfg.environment) * dt
-        + _noise_vec_arr(q, cz) * (sq * noise_z)[..., None]
-        + _noise_vec_arr(q, cp) * (sq * noise_phi)[..., None]
-    )
-    window = _OVERSHOOT_FACTOR * dt * max(1.0 / cz.tau, 1.0 / cp.tau)
-    return _renormalize(qn, step, max(NORM_TOL, window))
+def _step_matrix(cfg: SimConfig) -> np.ndarray:
+    """M = I + A dt for the linear drift A.
 
-
-def ito_step(
-    q: BlochState, noise_z: float, noise_phi: float, cfg: SimConfig
-) -> BlochState:
-    """One Euler-Maruyama update with standard-normal draws for each channel."""
-    qn = _ito_step_arr(q.as_array(), np.asarray(noise_z), np.asarray(noise_phi), cfg)
-    return BlochState.from_array(qn)
-
-
-def synthesize_readout(
-    q: BlochState, noise: float, channel: ChannelConfig, dt: float
-) -> float:
-    """Time-averaged readout over one step (responses rescaled to 2).
-
-    The same standard-normal draw must be the one fed to ito_step for this
-    channel and step: the readout and the trajectory share their noise.
+    Each channel dephases the components transverse to its axis at its rate;
+    the environment adds depolarization of x and z and the Rabi rotation
+    x' = Omega z, z' = -Omega x.  With both axes in the xz plane, M couples x
+    and z only.
     """
-    return _readout_arr(q.as_array(), np.asarray(noise), channel, dt).item()
+    env = cfg.environment
+    a = env.rabi_detuning * np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+    a -= env.depolarization_rate * np.diag([1.0, 0.0, 1.0])
+    for ch in cfg.channels:
+        a -= ch.gamma * (np.eye(3) - np.outer(ch.axis, ch.axis))
+    return np.eye(3) + a * cfg.dt
 
 
-def _readout_arr(q, noise, channel: ChannelConfig, dt: float):
-    phi = channel.axis_angle
-    m = q[..., 2] * math.cos(phi) + q[..., 0] * math.sin(phi)
-    return m + math.sqrt(channel.tau / dt) * noise
+def _xz_entries(mat: np.ndarray) -> tuple:
+    """Entries 00, 02, 11, 20, 22 of a map that couples x and z only, as 0-d
+    arrays (cheaper than Python floats in elementwise products)."""
+    return tuple(np.array(mat[i]) for i in ((0, 0), (0, 2), (1, 1), (2, 0), (2, 2)))
 
 
-def polar_step(theta: PolarState, noise: float, dt: float, tau_m: float) -> PolarState:
-    """Free-diffusion update of the polar angle (ideal equal-strength XZ)."""
-    return PolarState(theta.theta + math.sqrt(dt / tau_m) * float(noise))
+def _propagate(q, xi, cfg: SimConfig, states, readouts=None) -> None:
+    """Fused Euler-Maruyama steps for a batch, written into the output arrays.
+
+    q: (3, m) initial states; xi: (n_steps, 2, m) standard-normal draws, row 0
+    for the z channel and row 1 for the phi channel.  ``states``
+    (n_steps + 1, 3, m) and ``readouts`` (n_steps, 2, m) may be strided views
+    into the caller's arrays.  Norms in (1, 1 + window] are projected back onto
+    the sphere; a larger one raises IntegratorError naming the step.
+
+    Every operation is elementwise on rows of length m, so each member rounds
+    the same way at any batch width; BLAS kernels do not promise that.
+    """
+    dt = cfg.dt
+    axes = np.array([ch.axis for ch in cfg.channels])
+    tau = np.array([[ch.tau] for ch in cfg.channels])
+    u_scale, r_scale = np.sqrt(dt / tau), np.sqrt(tau / dt)
+    m00, m02, m11, m20, m22 = _xz_entries(_step_matrix(cfg))
+    window = max(NORM_TOL, _OVERSHOOT_FACTOR * dt * float(np.max(1.0 / tau)))
+    limit = (1.0 + window) ** 2
+    x, y, z = q
+    states[0] = q
+    for k0 in range(0, len(xi), _BLOCK):
+        block = xi[k0:k0 + _BLOCK]
+        u = block * u_scale  # sqrt(dt) xi_c / sqrt(tau_c)
+        wx = axes[0, 0] * u[:, 0] + axes[1, 0] * u[:, 1]  # sqrt(dt) w, whose y is 0
+        wz = axes[0, 2] * u[:, 0] + axes[1, 2] * u[:, 1]
+        for j in range(len(block)):
+            # q' = (M - (w.q) I) q + sqrt(dt) w
+            wq = wx[j] * x + wz[j] * z
+            x, y, z = (
+                (m00 - wq) * x + m02 * z + wx[j],
+                (m11 - wq) * y,
+                (m22 - wq) * z + m20 * x + wz[j],
+            )
+            n2 = x * x + y * y + z * z
+            worst = n2.max()
+            if worst > 1.0:
+                if worst > limit:
+                    raise IntegratorError(
+                        f"Bloch norm {math.sqrt(worst):.12g} exceeds "
+                        f"1 + {window:.3g} at step {k0 + j}"
+                    )
+                norm = np.where(n2 > 1.0, np.sqrt(n2), 1.0)
+                x, y, z = x / norm, y / norm, z / norm
+            out = states[k0 + j + 1]
+            out[0], out[1], out[2] = x, y, z
+        if readouts is not None:
+            # n_c . q at the start of each step, plus that step's own draws
+            pre = states[k0:k0 + len(block)]
+            readouts[k0:k0 + len(block)] = (
+                axes[:, 0:1] * pre[:, 0:1] + axes[:, 2:3] * pre[:, 2:3] + block * r_scale
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -198,49 +180,13 @@ def noise_stream(seed: int, stream_id: int, n_steps: int) -> np.ndarray:
     return gen.standard_normal((n_steps, 2))
 
 
-def _propagate(q0: np.ndarray, noises: np.ndarray, cfg: SimConfig):
-    """Propagate a batch.  q0: (m, 3); noises: (n_steps, m, 2).
-
-    Returns states (n_steps + 1, m, 3) and readouts (n_steps, m, 2).
-    """
-    n = noises.shape[0]
-    m = q0.shape[0]
-    cz, cp = cfg.channels
-    states = np.empty((n + 1, m, 3))
-    readouts = np.empty((n, m, 2))
-    states[0] = q0
-    q = q0
-    for k in range(n):
-        nz, nphi = noises[k, :, 0], noises[k, :, 1]
-        readouts[k, :, 0] = _readout_arr(q, nz, cz, cfg.dt)
-        readouts[k, :, 1] = _readout_arr(q, nphi, cp, cfg.dt)
-        q = _ito_step_arr(q, nz, nphi, cfg, step=k)
-        states[k + 1] = q
-    return states, readouts
-
-
 def simulate_trajectory(cfg: SimConfig, stream_id: int = 0):
-    """One trajectory plus its readout record, deterministic in (seed, stream)."""
-    noises = noise_stream(cfg.rng_seed, stream_id, cfg.n_steps)
-    q0 = cfg.initial_state.as_array()[None, :]
-    states, readouts = _propagate(q0, noises[:, None, :], cfg)
-    times = cfg.times
+    """One trajectory plus its readout record: ensemble member ``stream_id``."""
+    ens = run_ensemble(cfg, 1, stream_offset=stream_id)
     return (
-        Trajectory(times=times, states=states[:, 0, :]),
-        ReadoutRecord(times=times[:-1], r_z=readouts[:, 0, 0], r_phi=readouts[:, 0, 1]),
+        Trajectory(times=ens.times, states=ens.states[0]),
+        ReadoutRecord(times=ens.times[:-1], r_z=ens.r_z[0], r_phi=ens.r_phi[0]),
     )
-
-
-def _ensemble_chunk(cfg: SimConfig, lo: int, hi: int):
-    n = cfg.n_steps
-    noises = np.stack(
-        [noise_stream(cfg.rng_seed, sid, n) for sid in range(lo, hi)], axis=1
-    )
-    q0 = np.tile(cfg.initial_state.as_array(), (hi - lo, 1))
-    try:
-        return _propagate(q0, noises, cfg)
-    except IntegratorError as exc:
-        raise IntegratorError(f"{exc} (streams {lo}..{hi - 1})") from exc
 
 
 def run_ensemble(
@@ -253,40 +199,49 @@ def run_ensemble(
 ) -> Ensemble:
     """Trajectories for stream ids offset..offset+count-1, in stream-id order.
 
-    Chunks are independent, so ``workers`` threads may run them concurrently;
-    the merge is by stream id and bit-identical for any worker count.
-    ``stream_offset`` lets callers build one large logical ensemble in slabs
-    without reusing noise streams.
+    Chunks are independent and write disjoint rows, so ``workers`` threads may
+    run them concurrently; the output is bit-identical for any chunk size and
+    worker count.  ``stream_offset`` lets callers build one large logical
+    ensemble in slabs without reusing noise streams.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     n = cfg.n_steps
-    states = np.empty((count, n + 1, 3))
-    r_z = np.empty((count, n)) if keep_readouts else None
-    r_phi = np.empty((count, n)) if keep_readouts else None
     base = stream_offset
-    spans = [
-        (base + lo, base + min(lo + chunk, count)) for lo in range(0, count, chunk)
-    ]
-    if workers > 1 and len(spans) > 1:
+    states = np.empty((count, n + 1, 3))
+    readouts = np.empty((2, count, n)) if keep_readouts else None
+    q0 = cfg.initial_state.as_array()[:, None]
+
+    def run_chunk(lo: int) -> None:
+        hi = min(lo + chunk, count)
+        xi = np.empty((n, 2, hi - lo))
+        for j in range(hi - lo):
+            xi[:, :, j] = noise_stream(cfg.rng_seed, base + lo + j, n)
+        out = None if readouts is None else readouts[:, lo:hi].transpose(2, 0, 1)
+        try:
+            _propagate(np.repeat(q0, hi - lo, axis=1), xi, cfg,
+                       states[lo:hi].transpose(1, 2, 0), out)
+        except IntegratorError as exc:
+            raise IntegratorError(
+                f"{exc} (streams {base + lo}..{base + hi - 1})"
+            ) from exc
+
+    starts = range(0, count, chunk)
+    if workers > 1 and len(starts) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda s: _ensemble_chunk(cfg, *s), spans))
+            list(pool.map(run_chunk, starts))
     else:
-        results = [_ensemble_chunk(cfg, *s) for s in spans]
-    for (lo, hi), (st, ro) in zip(spans, results):
-        states[lo - base:hi - base] = st.transpose(1, 0, 2)
-        if keep_readouts:
-            r_z[lo - base:hi - base] = ro[:, :, 0].T
-            r_phi[lo - base:hi - base] = ro[:, :, 1].T
+        for lo in starts:
+            run_chunk(lo)
     return Ensemble(
         times=cfg.times,
         states=states,
         config=cfg,
         stream_ids=np.arange(base, base + count),
-        r_z=r_z,
-        r_phi=r_phi,
+        r_z=None if readouts is None else readouts[0],
+        r_phi=None if readouts is None else readouts[1],
     )
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from xzmeas import sde
 from xzmeas.core import ChannelConfig, QubitEnvironment, SimConfig, polar_to_bloch
 
 
@@ -19,6 +20,16 @@ def ideal_xz_config(gamma=0.5, dt=0.01, t_final=2.0, theta_in=math.pi / 4, seed=
         environment=QubitEnvironment(),
         rng_seed=seed,
     )
+
+
+def kernel_run(cfg, q0, xi):
+    """States (n + 1, 3, m) and readouts (n, 2, m) of the fused step kernel
+    from initial states q0 (3, m) and draws xi (n, 2, m)."""
+    n, _, m = xi.shape
+    states = np.empty((n + 1, 3, m))
+    readouts = np.empty((n, 2, m))
+    sde._propagate(np.array(q0, dtype=float), xi, cfg, states, readouts)
+    return states, readouts
 
 
 @pytest.fixture(scope="session")

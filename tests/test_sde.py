@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from scipy.linalg import expm
 
 from xzmeas.core import (
     NORM_TOL,
-    BlochState,
     ChannelConfig,
     QubitEnvironment,
     SimConfig,
@@ -16,20 +16,16 @@ from xzmeas.core import (
 from xzmeas import sde
 from xzmeas.sde import (
     IntegratorError,
-    drift,
-    ito_step,
     load_ensemble,
     noise_stream,
     polar_ensemble,
     polar_states,
-    polar_step,
     run_ensemble,
     save_ensemble,
     simulate_trajectory,
-    synthesize_readout,
 )
 
-from conftest import ideal_xz_config
+from conftest import ideal_xz_config, kernel_run
 
 
 def drift_matrix(cfg):
@@ -48,38 +44,65 @@ def drift_matrix(cfg):
     )
 
 
+def general_config(dt=0.002, t_final=1.0, seed=0):
+    """Unequal, non-ideal channels at a general angle, with an environment."""
+    return SimConfig(
+        channels=(ChannelConfig(0.0, 0.4, 0.8), ChannelConfig(0.7, 0.3, 0.6)),
+        dt=dt,
+        t_final=t_final,
+        initial_state=polar_to_bloch(0.9),
+        environment=QubitEnvironment(0.3, 0.05),
+        rng_seed=seed,
+    )
+
+
 def test_drift_matches_linear_generator(rng):
-    cfg = ideal_xz_config()
-    a = drift_matrix(cfg)
-    for _ in range(20):
-        q = rng.uniform(-0.5, 0.5, 3)
-        v = drift(BlochState(*q), cfg.channels, cfg.environment)
-        assert np.allclose([v.x, v.y, v.z], a @ q, atol=1e-14)
+    # with zero draws one kernel step is the Euler step of the linear drift
+    for cfg in (ideal_xz_config(), general_config()):
+        a = drift_matrix(cfg)
+        q = rng.uniform(-0.5, 0.5, (3, 20))
+        states, _ = kernel_run(cfg, q, np.zeros((1, 2, 20)))
+        assert np.allclose((states[1] - q) / cfg.dt, a @ q, atol=1e-14)
 
 
 def test_noise_free_evolution_matches_matrix_exponential():
     # all draws zero: Euler integration of the linear drift, O(dt) global error
-    cfg = SimConfig(
-        channels=(ChannelConfig(0.0, 0.4, 0.8), ChannelConfig(0.7, 0.3, 0.6)),
-        dt=0.002,
-        t_final=1.0,
-        initial_state=polar_to_bloch(0.9),
-        environment=QubitEnvironment(0.3, 0.05),
-    )
-    q = cfg.initial_state
-    for _ in range(cfg.n_steps):
-        q = ito_step(q, 0.0, 0.0, cfg)
+    cfg = general_config()
+    q0 = cfg.initial_state.as_array()[:, None]
+    states, _ = kernel_run(cfg, q0, np.zeros((cfg.n_steps, 2, 1)))
+    q = states[-1, :, 0]
     exact = expm(drift_matrix(cfg) * cfg.t_final) @ cfg.initial_state.as_array()
-    assert np.allclose(q.as_array(), exact, atol=5 * cfg.dt)
+    assert np.allclose(q, exact, atol=5 * cfg.dt)
 
     # halving dt halves the error (first-order convergence)
     cfg2 = dataclasses.replace(cfg, dt=cfg.dt / 2)
-    q2 = cfg2.initial_state
-    for _ in range(cfg2.n_steps):
-        q2 = ito_step(q2, 0.0, 0.0, cfg2)
-    err1 = np.linalg.norm(q.as_array() - exact)
-    err2 = np.linalg.norm(q2.as_array() - exact)
+    states2, _ = kernel_run(cfg2, q0, np.zeros((cfg2.n_steps, 2, 1)))
+    q2 = states2[-1, :, 0]
+    err1 = np.linalg.norm(q - exact)
+    err2 = np.linalg.norm(q2 - exact)
     assert err2 < 0.7 * err1
+
+
+def test_fused_step_matches_euler_maruyama_from_generator(rng):
+    # independent route: q + A q dt + sum_c g_c(q) sqrt(dt) xi_c with the
+    # diffusion vectors g_c = (n_c - (n_c.q) q)/sqrt(tau_c) built here
+    cfg = general_config(dt=0.004)
+    a = drift_matrix(cfg)
+    m = 500
+    q = rng.normal(size=(3, m))
+    q *= rng.uniform(0, 0.8, m) / np.linalg.norm(q, axis=0)
+    xi = rng.standard_normal((1, 2, m))
+    states, readouts = kernel_run(cfg, q, xi)
+    expect = q + (a @ q) * cfg.dt
+    for c, ch in enumerate(cfg.channels):
+        n_c = np.array([math.sin(ch.axis_angle), 0.0, math.cos(ch.axis_angle)])
+        m_c = n_c @ q
+        g_c = (n_c[:, None] - m_c * q) / math.sqrt(ch.tau)
+        expect += g_c * math.sqrt(cfg.dt) * xi[0, c]
+        r_c = m_c + math.sqrt(ch.tau / cfg.dt) * xi[0, c]
+        assert np.abs(readouts[0, c] - r_c).max() <= 1e-13
+    assert np.linalg.norm(expect, axis=0).max() < 1.0  # no projection involved
+    assert np.abs(states[1] - expect).max() <= 1e-13
 
 
 def test_purity_never_exceeds_tolerance(rng):
@@ -88,14 +111,22 @@ def test_purity_never_exceeds_tolerance(rng):
     n = 200_000
     v = rng.normal(size=(n, 3))
     v *= (rng.uniform(0, 1, n) ** (1 / 3) / np.linalg.norm(v, axis=1))[:, None]
-    out = sde._ito_step_arr(v, rng.standard_normal(n), rng.standard_normal(n), cfg)
-    norms = np.linalg.norm(out, axis=1)
+    states, _ = kernel_run(cfg, v.T, rng.standard_normal((1, 2, n)))
+    norms = np.linalg.norm(states[1], axis=0)
     assert norms.max() <= 1.0 + NORM_TOL
 
 
-def test_renormalize_rejects_blowups():
+def test_renormalize_rejects_blowups(monkeypatch):
+    # a draw far outside the overshoot window at step 7 raises, naming the step
+    cfg = ideal_xz_config(t_final=0.1)
+    xi = np.zeros((cfg.n_steps, 2, 1))
+    xi[7, 1, 0] = 1e3
     with pytest.raises(IntegratorError, match="step 7"):
-        sde._renormalize(np.array([1.5, 0.0, 0.0]), step=7, window=1e-9)
+        kernel_run(cfg, cfg.initial_state.as_array()[:, None], xi)
+    # through run_ensemble the error also names the chunk's stream range
+    monkeypatch.setattr(sde, "noise_stream", lambda seed, sid, n: xi[:, :, 0])
+    with pytest.raises(IntegratorError, match=r"step 7 \(streams 3\.\.5\)"):
+        run_ensemble(cfg, 3, stream_offset=3)
 
 
 def test_y_decoupled_for_xz_measurement():
@@ -107,23 +138,26 @@ def test_y_decoupled_for_xz_measurement():
 def test_readout_mean_and_variance(rng):
     cfg = ideal_xz_config()
     cz, cp = cfg.channels
-    q = polar_to_bloch(0.7)
+    q = np.repeat(polar_to_bloch(0.7).as_array()[:, None], 100, axis=1)
     draws = rng.standard_normal(20_000)
-    r = np.array([synthesize_readout(q, n, cz, cfg.dt) for n in draws[:100]])
+    xi = np.zeros((1, 2, 100))
+    xi[0, 0] = draws[:100]
+    _, readouts = kernel_run(cfg, q, xi)
     assert np.allclose(
-        r, math.cos(0.7) + math.sqrt(cz.tau / cfg.dt) * draws[:100], atol=1e-12
+        readouts[0, 0], math.cos(0.7) + math.sqrt(cz.tau / cfg.dt) * draws[:100], atol=1e-12
     )
     # x-type channel reads sin(theta)
-    rx = synthesize_readout(q, 0.0, cp, cfg.dt)
-    assert rx == pytest.approx(math.sin(0.7))
+    assert readouts[0, 1, 0] == pytest.approx(math.sin(0.7))
     # variance of the noise part is tau/dt
     full = math.cos(0.7) + math.sqrt(cz.tau / cfg.dt) * draws
     assert np.var(full) == pytest.approx(cz.tau / cfg.dt, rel=0.05)
 
 
 def test_polar_step_is_brownian():
-    p = polar_step(sde.PolarState(0.3), 2.0, 0.01, 1.0)
-    assert p.theta == pytest.approx(0.3 + 2.0 * math.sqrt(0.01))
+    # one exact step of the polar sampler: theta + sqrt(dt / tau_m) * draw
+    th = polar_ensemble(0.3, 1.0, np.array([0.01]), 5, seed=4)
+    draws = np.random.Generator(np.random.Philox(key=[4, 0])).standard_normal(5)
+    assert th[:, 0] == pytest.approx(0.3 + draws * math.sqrt(0.01))
 
 
 def test_noise_stream_deterministic_and_independent():
@@ -153,6 +187,30 @@ def test_ensemble_members_match_single_trajectories():
         assert np.array_equal(ens.states[sid], traj.states)
         assert np.array_equal(ens.r_z[sid], rec.r_z)
         assert np.array_equal(ens.r_phi[sid], rec.r_phi)
+
+
+def test_ensemble_bit_identical_across_chunk_widths():
+    # odd widths and a step count off the kernel's block size; the ideal
+    # channels exercise the norm projection, the general ones every coefficient.
+    # Chunks write disjoint rows of shared arrays from more threads than cores,
+    # switching often, so a chunk written to the wrong rows shows as a mismatch
+    interval = sys.getswitchinterval()
+    for cfg in (ideal_xz_config(t_final=0.23, seed=4), general_config(t_final=0.046, seed=4)):
+        ref = run_ensemble(cfg, 67, chunk=67)
+        for chunk in (1, 3, 7, 33):
+            sys.setswitchinterval(1e-5)
+            try:
+                ens = run_ensemble(cfg, 67, chunk=chunk, workers=4)
+            finally:
+                sys.setswitchinterval(interval)
+            assert np.array_equal(ens.states, ref.states)
+            assert np.array_equal(ens.r_z, ref.r_z)
+            assert np.array_equal(ens.r_phi, ref.r_phi)
+        for sid in (0, 5, 66):
+            traj, rec = simulate_trajectory(cfg, stream_id=sid)
+            assert np.array_equal(traj.states, ref.states[sid])
+            assert np.array_equal(rec.r_z, ref.r_z[sid])
+            assert np.array_equal(rec.r_phi, ref.r_phi[sid])
 
 
 def test_ensemble_stream_offset_slabs_match_full_run():
