@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlochState, ChannelConfig, QubitEnvironment, SimConfig
+from .core import BlochState, ChannelConfig, QubitEnvironment, SimConfig, open_rewrite
 from .sde import _BLOCK, ReadoutRecord, Trajectory, _xz_entries
 
 #: positivity slack before a reconstruction error is raised
@@ -94,8 +94,9 @@ def _project_positivity(x, y, z, where: str):
     """Rescale (x, y) onto the sphere for rounding-level violations."""
     n2 = x * x + y * y + z * z
     worst = n2.max()
-    if worst > 1.0:
-        if worst - 1.0 > POSITIVITY_TOL:
+    # negated tests so that a NaN norm raises
+    if not worst <= 1.0:
+        if not worst - 1.0 <= POSITIVITY_TOL:
             raise ReconstructionError(
                 f"positivity violated by {float(worst) - 1.0:.3g} at {where}"
             )
@@ -125,12 +126,13 @@ def _env_matrix(dt: float, env: QubitEnvironment) -> np.ndarray:
     """Exact map of the residual Rabi rotation and depolarization over dt.
 
     Integrates xdot = -gamma x + Omega z, zdot = -gamma z - Omega x; y is
-    damped at the same rate.
+    left alone, since depolarization acts in the xz plane
+    (``core.QubitEnvironment``) as in the SDE.
     """
     damp = math.exp(-env.depolarization_rate * dt)
     ang = env.rabi_detuning * dt
-    c, s = math.cos(ang), math.sin(ang)
-    return damp * np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    c, s = damp * math.cos(ang), damp * math.sin(ang)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 def env_step(q: BlochState, dt: float, env: QubitEnvironment) -> BlochState:
@@ -188,7 +190,7 @@ def reconstruct_batch(
 def write_readout_records(path, record: ReadoutRecord, cfg: SimConfig) -> None:
     """Write a delimited text record with a parameter-carrying header."""
     cz, cp = cfg.channels
-    with open(path, "w") as fh:
+    with open_rewrite(path) as fh:
         fh.write(
             "# dt={!r} gamma_z={!r} eta_z={!r} gamma_x={!r} eta_x={!r}\n".format(
                 cfg.dt, cz.gamma, cz.eta, cp.gamma, cp.eta
@@ -199,31 +201,40 @@ def write_readout_records(path, record: ReadoutRecord, cfg: SimConfig) -> None:
             fh.write(f"{float(t)!r},{float(rz)!r},{float(rx)!r}\n")
 
 
+def _finite(text: str, where: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{where}: non-numeric field {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: non-finite field {text!r}")
+    return value
+
+
 def read_readout_records(path) -> tuple[ReadoutRecord, dict]:
-    """Parse a readout file; malformed rows are hard errors with line numbers."""
+    """Parse a readout file; malformed rows and non-finite values are hard
+    errors (ValueError) naming path and line."""
     params = {}
     times, r_z, r_x = [], [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
+            where = f"{path}:{lineno}"
             line = line.strip()
             if not line:
                 continue
             if line.startswith("#"):
                 for tok in line[1:].split():
                     key, _, val = tok.partition("=")
-                    params[key] = float(val)
+                    params[key] = _finite(val, where)
                 continue
             if line == "t,r_z,r_x":
                 continue
             parts = line.split(",")
             if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
-            try:
-                times.append(float(parts[0]))
-                r_z.append(float(parts[1]))
-                r_x.append(float(parts[2]))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: non-numeric field") from None
+                raise ValueError(f"{where}: expected 3 columns, got {len(parts)}")
+            times.append(_finite(parts[0], where))
+            r_z.append(_finite(parts[1], where))
+            r_x.append(_finite(parts[2], where))
     record = ReadoutRecord(
         times=np.array(times), r_z=np.array(r_z), r_phi=np.array(r_x)
     )

@@ -27,7 +27,15 @@ from .analytic import (
     subens_avg_state,
 )
 from .bayes import ReconstructionError, read_readout_records, reconstruct
-from .core import BlochState, ChannelConfig, DomainError, QubitEnvironment, SimConfig, polar_to_bloch
+from .core import (
+    BlochState,
+    ChannelConfig,
+    DomainError,
+    QubitEnvironment,
+    SimConfig,
+    open_rewrite,
+    polar_to_bloch,
+)
 from .estimator import (
     SelectionCriterion,
     SelectionError,
@@ -35,12 +43,15 @@ from .estimator import (
     correlate,
     covariance,
     select,
+    select_polar,
     variance,
     write_correlator_csv,
 )
 from .fpe import ConditioningError, KernelParams, two_sided_density
 from .perturb import TreeParams, cov_tree, mean_tree, var_tree
-from .sde import IntegratorError, polar_ensemble, polar_states, run_ensemble, save_ensemble
+# polar_states stays in this namespace beside the other stages of a campaign,
+# where profilers look the stages up by name
+from .sde import IntegratorError, polar_ensemble, polar_states, run_ensemble, save_ensemble  # noqa: F401
 
 SCHEMA_VERSION = 1
 
@@ -100,7 +111,8 @@ def _write_plot_script(path: Path, title: str, csv_name: str, columns) -> None:
     ]
     plots = ", ".join(f"'{csv_name}' using {spec} with linespoints" for spec in columns)
     lines.append(f"plot {plots}")
-    path.write_text("\n".join(lines) + "\n")
+    with open_rewrite(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +142,7 @@ def _mode_analytic(cfg: dict, out: Path) -> list[str]:
     outputs.append(csv.name)
     if bc.post_selected:
         path = out / "analytic_state.csv"
-        with open(path, "w") as fh:
+        with open_rewrite(path) as fh:
             fh.write("t,x,z,norm\n")
             for t in np.linspace(0.0, bc.t_total, cfg.get("state_points", 101)):
                 q = subens_avg_state(float(t), bc)
@@ -155,7 +167,7 @@ def _mode_fpe(cfg: dict, out: Path) -> list[str]:
     kp = KernelParams.from_tau(bc.tau_m)
     thetas = np.linspace(0.0, 2 * math.pi, cfg.get("theta_points", 181))
     path = out / "fpe_density.csv"
-    with open(path, "w") as fh:
+    with open_rewrite(path) as fh:
         fh.write(
             "theta," + ",".join(f"t={float(t)!r}" for t in _require(cfg, "times")) + "\n"
         )
@@ -207,15 +219,13 @@ def _mc_subensemble(cfg: dict, seed: int) -> SubEnsemble:
     thetas = polar_ensemble(
         _require(cfg, "theta_in"), tau_m, times, int(_require(cfg, "count")), seed
     )
-    states = polar_states(thetas)
-    ens = SubEnsemble(times=times, states=states, accepted_count=states.shape[0], total_count=states.shape[0])
     crit = SelectionCriterion(
         theta_in=cfg["theta_in"],
         t_total=t_total,
         theta_f=cfg.get("theta_f"),
         angular_window=cfg.get("angular_window", 0.05),
     )
-    return select(ens, crit)
+    return select_polar(times, thetas, crit)
 
 
 def _mode_compare(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
@@ -290,7 +300,11 @@ def _mode_simulate(cfg: dict, out: Path, seed: int, workers: int) -> list[str]:
 
 
 def _mode_reconstruct(cfg: dict, out: Path, seed: int) -> list[str]:
-    record, _params = read_readout_records(_require(cfg, "input"))
+    path = _require(cfg, "input")
+    try:
+        record, _params = read_readout_records(path)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"readout file: {exc}") from None
     sim = _sim_config(_require(cfg, "sim"), seed_override=seed)
     q_in = (
         polar_to_bloch(cfg["initial_theta"])
@@ -299,7 +313,7 @@ def _mode_reconstruct(cfg: dict, out: Path, seed: int) -> list[str]:
     )
     traj = reconstruct(record, q_in, sim)
     path = out / "reconstructed_trajectory.csv"
-    with open(path, "w") as fh:
+    with open_rewrite(path) as fh:
         fh.write("t,x,y,z\n")
         for t, (x, y, z) in zip(traj.times, traj.states):
             fh.write(f"{float(t)!r},{float(x)!r},{float(y)!r},{float(z)!r}\n")
@@ -364,7 +378,8 @@ def run(config_path, seed=None, threads=1, output=None) -> int:
         "outputs": sorted(outputs),
         "gate_ok": gate_ok,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    with open_rewrite(out / "manifest.json") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return EXIT_OK if gate_ok else EXIT_GATE
 
 

@@ -1,11 +1,14 @@
 """Shared domain types, parameter derivations and Bloch-sphere geometry.
 
-All types here are immutable value objects; every function is pure, so the
-whole module is safe for unrestricted concurrent use.
+All types here are immutable value objects; every function apart from the
+file writer ``open_rewrite`` is pure, so the module is safe for unrestricted
+concurrent use.
 """
 from __future__ import annotations
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +33,7 @@ class BlochState:
 
     def __post_init__(self):
         n = math.sqrt(self.x**2 + self.y**2 + self.z**2)
-        if n > 1.0 + NORM_TOL:
+        if not n <= 1.0 + NORM_TOL:  # negated so that NaN is rejected
             raise DomainError(f"Bloch vector norm {n} exceeds 1 + {NORM_TOL}")
 
     def as_array(self) -> np.ndarray:
@@ -162,3 +165,19 @@ class SimConfig:
     @property
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_steps + 1)
+
+
+@contextmanager
+def open_rewrite(path, mode: str = "w"):
+    """Open ``path`` for writing from its start; on exit cut the file at the
+    end of what was written.
+
+    Unlike ``open(path, "w")`` this does not truncate on open.  On ext4,
+    closing a non-empty file that was truncated to zero waits for its new
+    blocks to reach the disk, tens of milliseconds per file; cutting at the
+    end position does not.  The file keeps its inode, and a symlink is
+    written through.  ``mode`` is "w" or "wb".
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), mode) as fh:
+        yield fh
+        fh.truncate()

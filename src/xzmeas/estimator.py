@@ -2,6 +2,7 @@
 
 Works on anything exposing ``times`` (n,) and ``states`` (count, n, 3):
 Monte Carlo ensembles, polar fast-path samples, or Bayesian reconstructions.
+``select_polar`` post-selects polar angles before any Bloch state is built.
 Reductions are plain numpy means (pairwise summation) over members ordered by
 stream id, so results are independent of any parallel execution order.
 """
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError
+from .core import DomainError, open_rewrite
+from .sde import polar_states
 
 _COORD = {"x": 0, "y": 1, "z": 2}
 
@@ -71,36 +73,62 @@ def _snap_index(times: np.ndarray, t: float) -> int:
     return idx
 
 
+def _accepted(final: np.ndarray, crit: SelectionCriterion) -> np.ndarray:
+    """Mask of final states (count, 3) that meet the criterion; raises
+    SelectionError when none does."""
+    if crit.theta_f is None:
+        keep = np.ones(len(final), dtype=bool)
+    elif crit.euclidean:
+        target = np.array([math.sin(crit.theta_f), math.cos(crit.theta_f)])
+        dist = np.hypot(final[:, 0] - target[0], final[:, 2] - target[1])
+        keep = dist <= crit.angular_window
+    else:
+        theta = np.arctan2(final[:, 0], final[:, 2])
+        delta = np.mod(theta - crit.theta_f + math.pi, 2 * math.pi) - math.pi
+        keep = np.abs(delta) <= crit.angular_window
+    if not keep.any():
+        raise SelectionError(
+            f"0 of {len(final)} trajectories accepted (rate 0); widen the window"
+        )
+    return keep
+
+
+def _horizon(times: np.ndarray, crit: SelectionCriterion) -> int:
+    """Index of the stored time nearest the selection horizon t_total."""
+    if times[-1] < crit.t_total - 1e-12:
+        raise DomainError("ensemble is shorter than the selection horizon")
+    return _snap_index(times, crit.t_total)
+
+
 def select(ens, crit: SelectionCriterion) -> SubEnsemble:
     """Sub-ensemble of trajectories meeting the post-selection criterion."""
     times = np.asarray(ens.times)
     states = np.asarray(ens.states)
-    if times[-1] < crit.t_total - 1e-12:
-        raise DomainError("ensemble is shorter than the selection horizon")
-    idx = _snap_index(times, crit.t_total)
-    total = states.shape[0]
-    if crit.theta_f is None:
-        keep = np.ones(total, dtype=bool)
-    else:
-        final = states[:, idx, :]
-        if crit.euclidean:
-            target = np.array([math.sin(crit.theta_f), math.cos(crit.theta_f)])
-            dist = np.hypot(final[:, 0] - target[0], final[:, 2] - target[1])
-            keep = dist <= crit.angular_window
-        else:
-            theta = np.arctan2(final[:, 0], final[:, 2])
-            delta = np.mod(theta - crit.theta_f + math.pi, 2 * math.pi) - math.pi
-            keep = np.abs(delta) <= crit.angular_window
-    accepted = int(np.count_nonzero(keep))
-    if accepted == 0:
-        raise SelectionError(
-            f"0 of {total} trajectories accepted (rate 0); widen the window"
-        )
+    idx = _horizon(times, crit)
+    keep = _accepted(states[:, idx, :], crit)
     return SubEnsemble(
         times=times[: idx + 1],
         states=states[keep, : idx + 1, :],
-        accepted_count=accepted,
-        total_count=total,
+        accepted_count=int(np.count_nonzero(keep)),
+        total_count=states.shape[0],
+    )
+
+
+def select_polar(times, thetas: np.ndarray, crit: SelectionCriterion) -> SubEnsemble:
+    """``select`` for polar angles (count, n_times) on ``times``.
+
+    Equals ``select`` on the Bloch states ``polar_states(thetas)``, but tests
+    the criterion on the final angles alone and builds Bloch states only for
+    the accepted members.
+    """
+    times = np.asarray(times)
+    idx = _horizon(times, crit)
+    keep = _accepted(polar_states(thetas[:, idx]), crit)
+    return SubEnsemble(
+        times=times[: idx + 1],
+        states=polar_states(thetas[keep, : idx + 1]),
+        accepted_count=int(np.count_nonzero(keep)),
+        total_count=thetas.shape[0],
     )
 
 
@@ -169,7 +197,7 @@ def write_correlator_csv(path, rows) -> None:
 
     Rows are written in the order given; callers pass a deterministic order.
     """
-    with open(path, "w") as fh:
+    with open_rewrite(path) as fh:
         fh.write("t1,t2,kind,value,std_error,accepted,total\n")
         for t1, t2, kind, value, se, acc, tot in rows:
             fh.write(

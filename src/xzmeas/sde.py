@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NORM_TOL, BlochState, ChannelConfig, QubitEnvironment, SimConfig
+from .core import NORM_TOL, BlochState, ChannelConfig, QubitEnvironment, SimConfig, open_rewrite
 
 
 class IntegratorError(RuntimeError):
@@ -149,8 +149,9 @@ def _propagate(q, xi, cfg: SimConfig, states, readouts=None) -> None:
             )
             n2 = x * x + y * y + z * z
             worst = n2.max()
-            if worst > 1.0:
-                if worst > limit:
+            # negated tests so that a NaN norm raises
+            if not worst <= 1.0:
+                if not worst <= limit:
                     raise IntegratorError(
                         f"Bloch norm {math.sqrt(worst):.12g} exceeds "
                         f"1 + {window:.3g} at step {k0 + j}"
@@ -256,7 +257,8 @@ def polar_ensemble(
 
     The ideal equal-strength XZ dynamics is pure Brownian motion of theta with
     variance t/tau_m, so increments between sample times are drawn exactly;
-    no fine stepping is needed.  Returns angles of shape (count, n_times).
+    no fine stepping is needed.  A sample time 0 draws nothing and holds
+    theta_in.  Returns angles of shape (count, n_times).
     """
     t = np.asarray(sample_times, dtype=float)
     if t.ndim != 1 or np.any(np.diff(t) <= 0) or t[0] < 0:
@@ -329,7 +331,7 @@ def save_ensemble(path, ens: Ensemble) -> None:
         payload["r_phi"] = ens.r_phi
     buf = io.BytesIO()
     np.savez_compressed(buf, **payload)
-    with open(path, "wb") as fh:
+    with open_rewrite(path, "wb") as fh:
         fh.write(buf.getvalue())
 
 

@@ -30,7 +30,13 @@ from xzmeas.core import (
     SimConfig,
     polar_to_bloch,
 )
-from xzmeas.estimator import SubEnsemble, correlate, covariance
+from xzmeas.estimator import (
+    SelectionCriterion,
+    SubEnsemble,
+    correlate,
+    covariance,
+    select_polar,
+)
 from xzmeas.fpe import KernelParams, cond_avg_fpe, transition_prob
 from xzmeas.perturb import TreeParams, cov_tree, eig_decoherence, var_tree
 from xzmeas.sde import polar_ensemble, polar_states, run_ensemble
@@ -58,16 +64,9 @@ def gate(capfd):
 
 def _polar_sub(count, t_total, times, seed, window=0.05):
     """Post-selected sub-ensemble of exact polar trajectories."""
-    th = polar_ensemble(THETA_IN, TAU, times[1:], count, seed=seed)
-    th = np.concatenate([np.full((count, 1), THETA_IN), th], axis=1)
-    delta = np.mod(th[:, -1] - THETA_F + math.pi, 2 * math.pi) - math.pi
-    keep = np.abs(delta) <= window
-    return SubEnsemble(
-        times=times,
-        states=polar_states(th[keep]),
-        accepted_count=int(np.count_nonzero(keep)),
-        total_count=count,
-    )
+    th = polar_ensemble(THETA_IN, TAU, times, count, seed=seed)
+    crit = SelectionCriterion(THETA_IN, t_total, THETA_F, window)
+    return select_polar(times, th, crit)
 
 
 def test_exact_backends_agree(gate):
@@ -136,8 +135,7 @@ def test_bridge_state_pins_boundaries_and_decoheres(gate):
 
 def test_preselected_closed_forms(gate):
     t_grid = np.linspace(0.0, 4.0, 9)
-    th = polar_ensemble(THETA_IN, TAU, t_grid[1:], 200_000, seed=17)
-    th = np.concatenate([np.full((200_000, 1), THETA_IN), th], axis=1)
+    th = polar_ensemble(THETA_IN, TAU, t_grid, 200_000, seed=17)
     sub = SubEnsemble(
         times=t_grid, states=polar_states(th),
         accepted_count=200_000, total_count=200_000,
@@ -159,9 +157,10 @@ def test_postselection_rates_match_kernel_integral(gate):
     rates = []
     ok = True
     for seed, t_total in ((19, 1.0), (23, 3.5), (29, 10.0)):
-        th = polar_ensemble(THETA_IN, TAU, np.array([t_total]), count, seed=seed)
-        delta = np.mod(th[:, -1] - THETA_F + math.pi, 2 * math.pi) - math.pi
-        rate = np.count_nonzero(np.abs(delta) <= window) / count
+        times = np.array([t_total])
+        th = polar_ensemble(THETA_IN, TAU, times, count, seed=seed)
+        crit = SelectionCriterion(THETA_IN, t_total, THETA_F, window)
+        rate = select_polar(times, th, crit).acceptance_rate
         grid = np.linspace(THETA_F - window, THETA_F + window, 401)
         dens = transition_prob(grid, t_total, THETA_IN, 0.0, kp)
         expected = float(np.trapezoid(dens, grid))

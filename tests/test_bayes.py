@@ -13,10 +13,12 @@ from xzmeas.core import (
 from xzmeas import bayes, sde
 from xzmeas.bayes import (
     DensityMatrix2,
+    ReconstructionError,
     bayes_update,
     env_step,
     read_readout_records,
     reconstruct,
+    reconstruct_batch,
     write_readout_records,
 )
 
@@ -127,10 +129,29 @@ def test_env_step_exact_rotation_and_damping():
     c, s = math.cos(0.8 * t), math.sin(0.8 * t)
     assert out.x == pytest.approx(damp * (q.x * c + q.z * s), abs=1e-14)
     assert out.z == pytest.approx(damp * (q.z * c - q.x * s), abs=1e-14)
-    assert out.y == pytest.approx(damp * q.y, abs=1e-14)
+    assert out.y == q.y  # depolarization acts in the xz plane only
     # two half steps compose exactly to one full step
     half = env_step(env_step(q, t / 2, env), t / 2, env)
     assert np.allclose(half.as_array(), out.as_array(), atol=1e-15)
+
+
+def test_replay_matches_sde_mean_y_under_depolarization():
+    # y starts nonzero; both routes depolarize only x and z, so the ensemble
+    # mean of y decays at the measurement dephasing rate 0.2 + 0.2 alone
+    cfg = SimConfig(
+        channels=(ChannelConfig(0.0, 0.2, 0.5), ChannelConfig(math.pi / 2, 0.2, 0.5)),
+        dt=0.01,
+        t_final=2.0,
+        initial_state=BlochState(0.0, 0.8, 0.3),
+        environment=QubitEnvironment(depolarization_rate=0.5),
+        rng_seed=3,
+    )
+    ens = sde.run_ensemble(cfg, 2000)
+    rec = reconstruct_batch(ens.r_z.T, ens.r_phi.T, cfg.initial_state.as_array(), cfg)
+    y_sde, y_rep = ens.states[:, -1, 1], rec[-1, :, 1]
+    se = y_sde.std(ddof=1) / math.sqrt(len(y_sde))
+    assert abs(y_sde.mean() - 0.8 * math.exp(-0.4 * cfg.t_final)) <= 4 * se
+    assert abs(y_rep.mean() - y_sde.mean()) <= 4 * se
 
 
 def kraus_sampled_trajectory(cfg, seed):
@@ -220,3 +241,25 @@ def test_readout_record_malformed_row(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=":4"):
         read_readout_records(path)
+
+
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+def test_readout_record_rejects_non_finite(tmp_path, field):
+    cfg = ideal_xz_config(t_final=0.05, seed=2)
+    _, record = sde.simulate_trajectory(cfg)
+    path = tmp_path / "readouts.txt"
+    write_readout_records(path, record, cfg)
+    lines = path.read_text().splitlines()
+    lines[3] = f"0.02,{field},0.1"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=":4: non-finite"):
+        read_readout_records(path)
+
+
+def test_replay_rejects_nan_readout():
+    # a NaN norm must not pass the positivity check
+    cfg = ideal_xz_config(t_final=0.1)
+    r = np.zeros((cfg.n_steps, 2))
+    r[3, 1] = np.nan
+    with pytest.raises(ReconstructionError, match="step 3"):
+        reconstruct_batch(r, r, cfg.initial_state.as_array(), cfg)

@@ -196,7 +196,8 @@ def test_seed_flag_overrides_config(tmp_path):
     ).read_bytes()
 
 
-def test_mode_reconstruct(tmp_path):
+def reconstruct_config(out, rec_path, t_final=0.5):
+    """Config replaying a simulated record, written to ``rec_path``."""
     from xzmeas.bayes import write_readout_records
     from xzmeas.core import ChannelConfig, SimConfig, polar_to_bloch
     from xzmeas.sde import simulate_trajectory
@@ -204,37 +205,79 @@ def test_mode_reconstruct(tmp_path):
     cfg = SimConfig(
         channels=(ChannelConfig(0.0, 0.5, 1.0), ChannelConfig(math.pi / 2, 0.5, 1.0)),
         dt=0.01,
-        t_final=0.5,
+        t_final=t_final,
         initial_state=polar_to_bloch(math.pi / 4),
         rng_seed=2,
     )
     _, record = simulate_trajectory(cfg)
-    rec_path = tmp_path / "readouts.txt"
     write_readout_records(rec_path, record, cfg)
-    out = tmp_path / "out"
-    cfgp = write_config(
-        tmp_path,
-        {
-            "schema_version": 1,
-            "mode": "reconstruct",
-            "output_dir": str(out),
-            "input": str(rec_path),
+    return {
+        "schema_version": 1,
+        "mode": "reconstruct",
+        "output_dir": str(out),
+        "input": str(rec_path),
+        "initial_theta": math.pi / 4,
+        "sim": {
+            "channels": [
+                {"axis_angle": 0.0, "gamma": 0.5, "eta": 1.0},
+                {"axis_angle": math.pi / 2, "gamma": 0.5, "eta": 1.0},
+            ],
+            "dt": 0.01,
+            "t_final": t_final,
             "initial_theta": math.pi / 4,
-            "sim": {
-                "channels": [
-                    {"axis_angle": 0.0, "gamma": 0.5, "eta": 1.0},
-                    {"axis_angle": math.pi / 2, "gamma": 0.5, "eta": 1.0},
-                ],
-                "dt": 0.01,
-                "t_final": 0.5,
-                "initial_theta": math.pi / 4,
-            },
         },
-    )
+    }
+
+
+def test_mode_reconstruct(tmp_path):
+    out = tmp_path / "out"
+    cfgp = write_config(tmp_path, reconstruct_config(out, tmp_path / "readouts.txt"))
     assert cli.run(cfgp) == cli.EXIT_OK
     lines = (out / "reconstructed_trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,x,y,z"
-    assert len(lines) == cfg.n_steps + 2
+    assert len(lines) == 50 + 2
+
+
+@pytest.mark.parametrize(
+    "row", ["0.02,not_a_number,0.1", "0.02,0.5", "0.02,nan,0.1", "0.02,0.5,inf"]
+)
+def test_mode_reconstruct_rejects_bad_readout_file(tmp_path, row, capsys):
+    rec_path = tmp_path / "readouts.txt"
+    cfgp = write_config(tmp_path, reconstruct_config(tmp_path / "out", rec_path))
+    lines = rec_path.read_text().splitlines()
+    lines[3] = row
+    rec_path.write_text("\n".join(lines) + "\n")
+    assert cli.run(cfgp) == cli.EXIT_CONFIG
+    assert "readouts.txt:4" in capsys.readouterr().err
+
+
+def test_rerun_over_longer_outputs_matches_fresh_run(tmp_path):
+    # each campaign first runs with a larger config into "used", then with a
+    # smaller one; every file must equal a run into an empty directory
+    rec = tmp_path / "readouts.txt"
+    big_analytic = analytic_config(None)
+    big_analytic.update(t1_grid={"start": 0.25, "stop": 3.25, "num": 9}, state_points=101)
+    big_sim = dict(simulate_config(None), save_ensemble=True, count=200)
+    fpe = {"schema_version": 1, "mode": "fpe", "theta_in": math.pi / 4,
+           "theta_f": 7 * math.pi / 8, "t_total": 3.5, "tau_m": 1.0,
+           "times": [0.5, 1.75, 3.0], "theta_points": 61}
+    pairs = [
+        (lambda: big_analytic, lambda: analytic_config(None)),
+        (lambda: fpe, lambda: dict(fpe, theta_points=31)),
+        (lambda: big_sim, lambda: dict(big_sim, count=50)),
+        (lambda: reconstruct_config(None, rec, 0.5), lambda: reconstruct_config(None, rec, 0.2)),
+    ]
+    for i, (big, small) in enumerate(pairs):
+        used, fresh = tmp_path / f"used{i}", tmp_path / f"fresh{i}"
+        assert cli.run(write_config(tmp_path, big()), output=used) == cli.EXIT_OK
+        before = {p.name: p.stat().st_size for p in used.iterdir()}
+        small_cfg = write_config(tmp_path, small())
+        assert cli.run(small_cfg, output=used) == cli.EXIT_OK
+        assert cli.run(small_cfg, output=fresh) == cli.EXIT_OK
+        names = sorted(p.name for p in fresh.iterdir())
+        assert any((used / n).stat().st_size < before[n] for n in names)
+        for name in names:
+            assert (used / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 def test_config_errors(tmp_path):
@@ -258,6 +301,11 @@ def test_config_errors(tmp_path):
     cfg["sim"]["dt"] = -1.0
     bad_sim = write_config(tmp_path, cfg, "bs.json")
     assert cli.run(bad_sim) == cli.EXIT_CONFIG
+
+    rec_path = tmp_path / "readouts.txt"
+    no_input = write_config(tmp_path, reconstruct_config(out, rec_path), "ni.json")
+    rec_path.unlink()
+    assert cli.run(no_input) == cli.EXIT_CONFIG
 
 
 def test_main_entrypoint_and_env_threads(tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from xzmeas.core import (
     SimConfig,
     bloch_norm,
     measurement_time,
+    open_rewrite,
     polar_to_bloch,
 )
 
@@ -56,6 +57,24 @@ def test_bloch_state_norm_invariant():
     BlochState(0.6, 0.0, 0.8)
     with pytest.raises(DomainError):
         BlochState(1.0, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        BlochState(math.nan, 0.0, 0.0)
+
+
+def test_open_rewrite_replaces_content_in_place(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("a much longer earlier content\n")
+    inode = path.stat().st_ino
+    link = tmp_path / "link.txt"
+    link.symlink_to(path)
+    with open_rewrite(link) as fh:
+        fh.write("short\n")
+    assert path.read_text() == "short\n"
+    assert link.is_symlink() and path.stat().st_ino == inode
+    new = tmp_path / "new.bin"
+    with open_rewrite(new, "wb") as fh:
+        fh.write(b"\x00\x01")
+    assert new.read_bytes() == b"\x00\x01"
 
 
 def test_bloch_state_roundtrip():

@@ -13,6 +13,7 @@ from xzmeas.estimator import (
     covariance,
     read_correlator_csv,
     select,
+    select_polar,
     variance,
     write_correlator_csv,
 )
@@ -23,8 +24,7 @@ TIMES = np.linspace(0.0, 3.5, 15)
 
 
 def make_ensemble(count=50_000, seed=4, theta_in=math.pi / 4):
-    th = polar_ensemble(theta_in, 1.0, TIMES[1:], count, seed=seed)
-    th = np.concatenate([np.full((count, 1), theta_in), th], axis=1)
+    th = polar_ensemble(theta_in, 1.0, TIMES, count, seed=seed)
     return SubEnsemble(
         times=TIMES, states=polar_states(th), accepted_count=count, total_count=count
     )
@@ -83,6 +83,32 @@ def test_select_empty_errors(ens):
     )
     with pytest.raises(SelectionError):
         select(ens, crit)
+
+
+@pytest.mark.parametrize(
+    "crit",
+    [
+        # the window sits a winding away from the sampled angles
+        SelectionCriterion(math.pi / 4, 3.5, 7 * math.pi / 8 + 2 * math.pi, 0.3),
+        SelectionCriterion(math.pi / 4, 2.5, 7 * math.pi / 8, 0.3, euclidean=True),
+        SelectionCriterion(math.pi / 4, 2.5),
+    ],
+    ids=["window_with_winding", "euclidean", "no_theta_f"],
+)
+def test_select_polar_equals_select_on_bloch_states(crit):
+    th = polar_ensemble(math.pi / 4, 1.0, TIMES, 20_000, seed=9)
+    ref = select(SubEnsemble(TIMES, polar_states(th), len(th), len(th)), crit)
+    sub = select_polar(TIMES, th, crit)
+    assert np.array_equal(sub.times, ref.times)
+    assert np.array_equal(sub.states, ref.states)
+    assert (sub.accepted_count, sub.total_count) == (ref.accepted_count, ref.total_count)
+
+
+def test_select_polar_empty_errors():
+    th = polar_ensemble(math.pi / 4, 1.0, TIMES, 1000, seed=9)
+    crit = SelectionCriterion(math.pi / 4, 3.5, 7 * math.pi / 8, angular_window=1e-9)
+    with pytest.raises(SelectionError):
+        select_polar(TIMES, th, crit)
 
 
 def test_correlate_symmetry(ens):

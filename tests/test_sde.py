@@ -129,6 +129,14 @@ def test_renormalize_rejects_blowups(monkeypatch):
         run_ensemble(cfg, 3, stream_offset=3)
 
 
+def test_nan_draw_raises_integrator_error():
+    cfg = ideal_xz_config(t_final=0.1)
+    xi = np.zeros((cfg.n_steps, 2, 3))
+    xi[4, 0, 1] = np.nan
+    with pytest.raises(IntegratorError, match="step 4"):
+        kernel_run(cfg, np.repeat(cfg.initial_state.as_array()[:, None], 3, axis=1), xi)
+
+
 def test_y_decoupled_for_xz_measurement():
     cfg = ideal_xz_config(t_final=1.0, seed=5)
     traj, _ = simulate_trajectory(cfg)
@@ -248,6 +256,13 @@ def test_polar_ensemble_statistics():
     # increments independent of the past
     inc = th[:, 2] - th[:, 1]
     assert abs(np.corrcoef(inc, th[:, 1] - 0.3)[0, 1]) < 0.01
+
+
+def test_polar_ensemble_time_zero_draws_nothing():
+    times = np.array([0.0, 0.5, 1.25])
+    th = polar_ensemble(0.3, 1.0, times, 1000, seed=6)
+    assert np.all(th[:, 0] == 0.3)
+    assert np.array_equal(th[:, 1:], polar_ensemble(0.3, 1.0, times[1:], 1000, seed=6))
 
 
 def test_polar_states_layout():
