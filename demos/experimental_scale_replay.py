@@ -44,7 +44,7 @@ def main():
     t2 = 1.0
     idx = np.rint(t_grid / cfg.dt).astype(int)
 
-    ens = run_ensemble(cfg, count, keep_readouts=True, chunk=5000, workers=4)
+    ens = run_ensemble(cfg, count, keep_readouts=True)
     rec = reconstruct_batch(ens.r_z.T, ens.r_phi.T,
                             cfg.initial_state.as_array(), cfg)
     sde_sub = SubEnsemble(t_grid, ens.states[:, idx, :], count, count)

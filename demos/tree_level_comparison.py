@@ -32,8 +32,7 @@ def mc_snapshots(eta, count, t_grid, dt=0.01, stream_offset=0):
         environment=QubitEnvironment(),
         rng_seed=0,
     )
-    ens = run_ensemble(cfg, count, keep_readouts=False, chunk=5000, workers=4,
-                       stream_offset=stream_offset)
+    ens = run_ensemble(cfg, count, keep_readouts=False, stream_offset=stream_offset)
     idx = np.rint(np.asarray(t_grid) / dt).astype(int)
     return SubEnsemble(np.asarray(t_grid, dtype=float), ens.states[:, idx, :],
                        count, count)

@@ -94,15 +94,20 @@ def _winding_ratio(dtheta: float, S: float, T: float, tau: float, n_max: int) ->
     """
     if T / tau > RESUM_THRESHOLD:
         return _winding_ratio_resummed(dtheta, S, T, tau, n_max)
+    u, den_expo = _direct_windings(dtheta, T, tau, n_max)
+    num, ln = _scaled_sum(den_expo + 1j * u * S / T)
+    den, ld = _scaled_sum(den_expo)
+    return num / den * math.exp(ln - ld)
+
+
+def _direct_windings(dtheta: float, T: float, tau: float, n_max: int):
+    """Direct-branch windings u = dtheta + 2 pi n and log weights -u^2 tau/(2T)."""
     center = -round(dtheta / (2 * math.pi))
     n = np.arange(center - n_max, center + n_max + 1)
     u = dtheta + 2 * math.pi * n
-    num_expo = -(u**2) * tau / (2 * T) + 1j * u * S / T
-    den_expo = -(u**2) * tau / (2 * T)
-    _check_tails(den_expo)
-    num, ln = _scaled_sum(num_expo)
-    den, ld = _scaled_sum(den_expo)
-    return num / den * math.exp(ln - ld)
+    expo = -(u**2) * tau / (2 * T)
+    _check_tails(expo)
+    return u, expo
 
 
 def _winding_ratio_resummed(dtheta, S, T, tau, n_max) -> complex:
@@ -121,7 +126,7 @@ def _check_tails(expo: np.ndarray) -> None:
     tail = max(float(expo.real[0]), float(expo.real[-1]))
     if tail - peak > math.log(SERIES_TOL):
         raise SeriesError(
-            f"winding series not converged within |n| <= {MAX_WINDINGS}"
+            f"winding series not converged: tail/peak {math.exp(tail - peak):.3g} > {SERIES_TOL:g}"
         )
 
 
@@ -247,12 +252,7 @@ def subens_avg_state(
         return polar_to_bloch(bc.theta_in)
     if t == T:
         return polar_to_bloch(bc.theta_f)
-    dtheta = bc.theta_f - bc.theta_in
-    center = -round(dtheta / (2 * math.pi))
-    n = np.arange(center - n_max, center + n_max + 1)
-    u = dtheta + 2 * math.pi * n
-    w_expo = -(u**2) * tau / (2 * T)
-    _check_tails(w_expo)
+    u, w_expo = _direct_windings(bc.theta_f - bc.theta_in, T, tau, n_max)
     w = np.exp(w_expo - w_expo.max())
     ang = bc.theta_in + u * t / T
     pref = math.exp(-t * (1 - t / T) / (2 * tau))

@@ -4,15 +4,14 @@ Reads a JSON config (schema documented in the repo README), runs the
 requested mode, and writes CSV tables, gnuplot-compatible plot scripts, and a
 manifest sufficient to reproduce every output byte-for-byte.
 
-Exit codes: 0 success, 2 cross-validation gate failure, 3 config error,
-4 numerical error.
+Exit codes: 0 success, 2 cross-validation gate failure, 3 config or usage
+error, 4 numerical error (an empty post-selected sub-ensemble included).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -60,7 +59,9 @@ EXIT_GATE = 2
 EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 
-_NUMERICAL_ERRORS = (SeriesError, ConditioningError, ReconstructionError, IntegratorError)
+_NUMERICAL_ERRORS = (
+    SeriesError, ConditioningError, ReconstructionError, IntegratorError, SelectionError
+)
 
 
 class ConfigError(ValueError):
@@ -258,16 +259,12 @@ def _mode_compare(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
     return [csv.name], ok
 
 
-def _mode_simulate(cfg: dict, out: Path, seed: int, workers: int) -> list[str]:
+def _mode_simulate(cfg: dict, out: Path, seed: int) -> list[str]:
     sim = _sim_config(_require(cfg, "sim"), seed_override=seed)
-    ens = run_ensemble(
-        sim,
-        int(_require(cfg, "count")),
-        keep_readouts=bool(cfg.get("save_ensemble", False)),
-        workers=workers,
-    )
+    save = bool(cfg.get("save_ensemble", False))
+    ens = run_ensemble(sim, int(_require(cfg, "count")), keep_readouts=save)
     outputs = []
-    if cfg.get("save_ensemble", False):
+    if save:
         path = out / "ensemble.npz"
         save_ensemble(path, ens)
         outputs.append(path.name)
@@ -324,7 +321,7 @@ def _mode_reconstruct(cfg: dict, out: Path, seed: int) -> list[str]:
 # entry point
 # ---------------------------------------------------------------------------
 
-def run(config_path, seed=None, threads=1, output=None) -> int:
+def run(config_path, seed=None, output=None) -> int:
     try:
         with open(config_path) as fh:
             cfg = json.load(fh)
@@ -354,7 +351,7 @@ def run(config_path, seed=None, threads=1, output=None) -> int:
         elif mode == "compare":
             outputs, gate_ok = _mode_compare(cfg, out, effective_seed)
         elif mode == "simulate":
-            outputs = _mode_simulate(cfg, out, effective_seed, threads)
+            outputs = _mode_simulate(cfg, out, effective_seed)
         elif mode == "reconstruct":
             outputs = _mode_reconstruct(cfg, out, effective_seed)
         else:
@@ -362,7 +359,7 @@ def run(config_path, seed=None, threads=1, output=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DomainError, SelectionError) as exc:
+    except DomainError as exc:
         print(f"config error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _NUMERICAL_ERRORS as exc:
@@ -374,7 +371,6 @@ def run(config_path, seed=None, threads=1, output=None) -> int:
         "version": __version__,
         "config": cfg,
         "seed": effective_seed,
-        "threads": threads,
         "outputs": sorted(outputs),
         "gate_ok": gate_ok,
     }
@@ -390,15 +386,13 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, help="path to JSON campaign config")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("QMEAS_THREADS", "1")),
-        help="worker threads for ensemble generation (env QMEAS_THREADS)",
-    )
     parser.add_argument("--output", default=None, help="override output directory")
-    args = parser.parse_args(argv)
-    return run(args.config, seed=args.seed, threads=args.threads, output=args.output)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which would read as a failed gate
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
+    return run(args.config, seed=args.seed, output=args.output)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import BoundaryCondition, SeriesError, _normalize_sources, _scaled_sum
+from .analytic import BoundaryCondition, SeriesError, _check_tails, _normalize_sources, _scaled_sum
 from .core import DomainError
 
 #: crossover D*(t - t0) between wrapped-Gaussian and Fourier-series evaluation
@@ -132,10 +132,8 @@ def cond_avg_fpe(src, bc: BoundaryCondition, kp: KernelParams) -> complex:
     n = np.arange(min(center, 0) - kp.n_max, max(center, 0) + kp.n_max + 1)
     num_expo = -D * n**2 * T + 1j * n * dtheta + 2 * D * S * n
     den_expo = -D * n**2 * T + 1j * n * dtheta
-    for expo in (num_expo, den_expo):
-        peak = float(np.max(expo.real))
-        if max(float(expo.real[0]), float(expo.real[-1])) - peak > math.log(1e-12):
-            raise SeriesError("Fokker-Planck winding series not converged")
+    _check_tails(num_expo)
+    _check_tails(den_expo)
     num, ln = _scaled_sum(num_expo)
     den, ld = _scaled_sum(den_expo)
     return pref * num / den * math.exp(ln - ld)

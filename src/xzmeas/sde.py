@@ -18,13 +18,14 @@ discretization error.
 
 Random numbers: every trajectory owns a counter-based Philox stream keyed by
 (seed, stream_id), so ensembles are reproducible regardless of execution
-order or chunking.
+order, chunking or thread count.
 """
 from __future__ import annotations
 
 import io
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +90,9 @@ _OVERSHOOT_FACTOR = 30.0
 #: steps whose noise terms and readouts are computed in one vectorized pass;
 #: bounds that scratch to _BLOCK x batch width
 _BLOCK = 16
+
+#: ensemble members per chunk; bounds its noise scratch to 40 MB at 500 steps
+_CHUNK = 5000
 
 
 def _step_matrix(cfg: SimConfig) -> np.ndarray:
@@ -190,20 +194,22 @@ def simulate_trajectory(cfg: SimConfig, stream_id: int = 0):
     )
 
 
-def run_ensemble(
-    cfg: SimConfig,
-    count: int,
-    keep_readouts: bool = True,
-    chunk: int = 20000,
-    workers: int = 1,
-    stream_offset: int = 0,
-) -> Ensemble:
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_ensemble(cfg: SimConfig, count: int, keep_readouts: bool = True,
+                 stream_offset: int = 0) -> Ensemble:
     """Trajectories for stream ids offset..offset+count-1, in stream-id order.
 
-    Chunks are independent and write disjoint rows, so ``workers`` threads may
-    run them concurrently; the output is bit-identical for any chunk size and
-    worker count.  ``stream_offset`` lets callers build one large logical
-    ensemble in slabs without reusing noise streams.
+    Chunks of ``_CHUNK`` members write disjoint rows, so one thread per usable
+    CPU runs them concurrently; each member rounds the same way in any chunk,
+    so the output is bit-identical for any CPU count.  ``stream_offset`` lets
+    callers build one large logical ensemble in slabs without reusing noise
+    streams.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -214,7 +220,7 @@ def run_ensemble(
     q0 = cfg.initial_state.as_array()[:, None]
 
     def run_chunk(lo: int) -> None:
-        hi = min(lo + chunk, count)
+        hi = min(lo + _CHUNK, count)
         xi = np.empty((n, 2, hi - lo))
         for j in range(hi - lo):
             xi[:, :, j] = noise_stream(cfg.rng_seed, base + lo + j, n)
@@ -227,11 +233,12 @@ def run_ensemble(
                 f"{exc} (streams {base + lo}..{base + hi - 1})"
             ) from exc
 
-    starts = range(0, count, chunk)
-    if workers > 1 and len(starts) > 1:
+    starts = range(0, count, _CHUNK)
+    threads = min(_usable_cpus(), len(starts))
+    if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run_chunk, starts))
     else:
         for lo in starts:

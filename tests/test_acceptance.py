@@ -187,8 +187,8 @@ def _xz_cartesian_snapshots(eta, count, snap_times, seed_offset, dt=0.01,
     parts = []
     for lo in range(0, count, slab):
         n = min(slab, count - lo)
-        ens = run_ensemble(cfg, n, keep_readouts=False, chunk=5000,
-                           workers=4, stream_offset=seed_offset + lo)
+        ens = run_ensemble(cfg, n, keep_readouts=False,
+                           stream_offset=seed_offset + lo)
         parts.append(ens.states[:, idx, :].copy())
     return np.concatenate(parts)
 
@@ -261,8 +261,7 @@ def test_mean_decay_matches_lindblad(gate):
             environment=QubitEnvironment(),
             rng_seed=0,
         )
-        ens = run_ensemble(cfg, 10_000, keep_readouts=False, chunk=2500,
-                           workers=4)
+        ens = run_ensemble(cfg, 10_000, keep_readouts=False)
         a = drift_matrix(cfg)
         for t in (0.5, 1.0, 2.0):
             i = int(round(t / cfg.dt))
@@ -311,8 +310,7 @@ def test_reconstructed_and_direct_covariances_agree(gate):
     q_in = cfg.initial_state.as_array()
     sde_parts, bayes_parts = [], []
     for lo in range(0, 200_000, 20_000):
-        ens = run_ensemble(cfg, 20_000, keep_readouts=True, chunk=5000,
-                           workers=4, stream_offset=lo)
+        ens = run_ensemble(cfg, 20_000, keep_readouts=True, stream_offset=lo)
         sde_parts.append(ens.states[:, idx, :].copy())
         rec = reconstruct_batch(ens.r_z.T, ens.r_phi.T, q_in, cfg)
         bayes_parts.append(rec.transpose(1, 0, 2)[:, idx, :].copy())

@@ -6,6 +6,7 @@ import pytest
 
 from xzmeas.analytic import (
     BoundaryCondition,
+    SeriesError,
     SourceSpec,
     cond_avg_phase,
     correlator_cond,
@@ -166,6 +167,19 @@ def test_npoint_three_sources_finite():
     assert v_sym != 0.0  # even count of x is parity-even, stays finite
     v_odd = correlator_npoint(("x",), (1.5,), bc_sym)
     assert v_odd == pytest.approx(0.0, abs=1e-12)
+
+
+def test_truncated_winding_series_raises():
+    # one winding either side leaves tails far above SERIES_TOL on both branches
+    direct = BoundaryCondition(theta_in=0.3, tau_m=1.0, theta_f=2.0, t_total=1.0)
+    resummed = BoundaryCondition(theta_in=0.3, tau_m=1.0, theta_f=2.0, t_total=3.5)
+    for bc in (direct, resummed):
+        with pytest.raises(SeriesError, match="not converged"):
+            cond_avg_phase(((1, 0.4),), bc, n_max=1)
+        cond_avg_phase(((1, 0.4),), bc)
+    with pytest.raises(SeriesError, match="not converged"):
+        subens_avg_state(0.5, direct, n_max=1)
+    subens_avg_state(0.5, direct)
 
 
 def test_subens_avg_state_boundary_pinning():

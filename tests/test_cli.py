@@ -1,6 +1,5 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -127,6 +126,14 @@ def test_mode_compare_gate_fails_when_forced(tmp_path):
     assert manifest["gate_ok"] is False
 
 
+def test_mode_compare_empty_selection_is_numerical_error(tmp_path, capsys):
+    # a 0.001 window at T = 0.2 accepts none of 100 trajectories
+    cfg = compare_config(tmp_path / "out", count=100)
+    cfg.update(angular_window=0.001, t_total=0.2, t1_grid=[0.05, 0.1], t2=0.15)
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_NUMERICAL
+    assert "numerical error [SelectionError]" in capsys.readouterr().err
+
+
 def simulate_config(out, seed=3):
     return {
         "schema_version": 1,
@@ -177,7 +184,7 @@ def test_manifest_replay(tmp_path):
     replay_cfg = dict(manifest["config"])
     replay_cfg["output_dir"] = str(out2)
     c2 = write_config(tmp_path, replay_cfg, "replay.json")
-    assert cli.run(c2, seed=manifest["seed"], threads=manifest["threads"]) == cli.EXIT_OK
+    assert cli.run(c2, seed=manifest["seed"]) == cli.EXIT_OK
     for name in manifest["outputs"]:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
@@ -308,15 +315,23 @@ def test_config_errors(tmp_path):
     assert cli.run(no_input) == cli.EXIT_CONFIG
 
 
-def test_main_entrypoint_and_env_threads(tmp_path, monkeypatch):
+def test_main_entrypoint_and_env_threads(tmp_path):
     out = tmp_path / "out"
     cfgp = write_config(tmp_path, analytic_config(out))
-    monkeypatch.setenv("QMEAS_THREADS", "2")
     assert cli.main(["--config", str(cfgp)]) == cli.EXIT_OK
     # --output overrides output_dir
     out2 = tmp_path / "other"
     assert cli.main(["--config", str(cfgp), "--output", str(out2)]) == cli.EXIT_OK
     assert (out2 / "analytic_correlators.csv").exists()
+
+
+def test_usage_errors_exit_config(tmp_path, capsys):
+    # argparse's own exit code 2 is the gate-failure code
+    cfgp = write_config(tmp_path, analytic_config(tmp_path / "out"))
+    assert cli.main([]) == cli.EXIT_CONFIG
+    assert cli.main(["--config", str(cfgp), "--threads", "2"]) == cli.EXIT_CONFIG
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert cli.main(["--help"]) == cli.EXIT_OK
 
 
 def test_emitted_csv_reparseable(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from xzmeas.analytic import BoundaryCondition, SourceSpec, cond_avg_phase
+from xzmeas.analytic import BoundaryCondition, SeriesError, SourceSpec, cond_avg_phase
 from xzmeas.fpe import (
     KernelParams,
     cond_avg_fpe,
@@ -102,6 +102,12 @@ def test_cond_avg_fpe_matches_analytic(rng):
         a = cond_avg_phase(src, BC)
         b = cond_avg_fpe(src, BC, KP)
         assert abs(a - b) < 1e-10
+
+
+def test_cond_avg_fpe_truncated_series_raises():
+    src = SourceSpec(points=((1, 0.9), (-1, 2.1)))
+    with pytest.raises(SeriesError, match="not converged"):
+        cond_avg_fpe(src, BC, KernelParams.from_tau(BC.tau_m, n_max=1))
 
 
 def test_cond_avg_fpe_matches_quadrature():

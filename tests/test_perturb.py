@@ -145,7 +145,7 @@ def test_full_correlator_matches_mc_at_low_efficiency():
         initial_state=polar_to_bloch(math.pi / 4),
         rng_seed=77,
     )
-    ens = run_ensemble(cfg, 20_000, keep_readouts=False, workers=2)
+    ens = run_ensemble(cfg, 20_000, keep_readouts=False)
     sub = select(ens, SelectionCriterion(theta_in=math.pi / 4, t_total=cfg.t_final))
     for kind, t1, t2 in (("zz", 0.5, 1.5), ("zx", 1.0, 0.5), ("xx", 0.8, 0.8)):
         mc, se = correlate(sub, kind[0], kind[1], t1, t2)

@@ -177,11 +177,18 @@ def test_noise_stream_deterministic_and_independent():
     assert not np.array_equal(a, c)
 
 
-def test_ensemble_deterministic_across_workers_and_chunks():
+def _run_with(monkeypatch, cfg, count, chunk, cpus, **kw):
+    """run_ensemble with the chunk width and usable CPU count replaced."""
+    monkeypatch.setattr(sde, "_CHUNK", chunk)
+    monkeypatch.setattr(sde, "_usable_cpus", lambda: cpus)
+    return run_ensemble(cfg, count, **kw)
+
+
+def test_ensemble_deterministic_across_workers_and_chunks(monkeypatch):
     cfg = ideal_xz_config(t_final=0.2, seed=9)
-    e1 = run_ensemble(cfg, 64, workers=1, chunk=16)
-    e2 = run_ensemble(cfg, 64, workers=4, chunk=16)
-    e3 = run_ensemble(cfg, 64, workers=2, chunk=64)
+    e1 = _run_with(monkeypatch, cfg, 64, chunk=16, cpus=1)
+    e2 = _run_with(monkeypatch, cfg, 64, chunk=16, cpus=4)
+    e3 = _run_with(monkeypatch, cfg, 64, chunk=64, cpus=2)
     assert np.array_equal(e1.states, e2.states)
     assert np.array_equal(e1.states, e3.states)
     assert np.array_equal(e1.r_z, e2.r_z)
@@ -197,18 +204,18 @@ def test_ensemble_members_match_single_trajectories():
         assert np.array_equal(ens.r_phi[sid], rec.r_phi)
 
 
-def test_ensemble_bit_identical_across_chunk_widths():
+def test_ensemble_bit_identical_across_chunk_widths(monkeypatch):
     # odd widths and a step count off the kernel's block size; the ideal
     # channels exercise the norm projection, the general ones every coefficient.
     # Chunks write disjoint rows of shared arrays from more threads than cores,
     # switching often, so a chunk written to the wrong rows shows as a mismatch
     interval = sys.getswitchinterval()
     for cfg in (ideal_xz_config(t_final=0.23, seed=4), general_config(t_final=0.046, seed=4)):
-        ref = run_ensemble(cfg, 67, chunk=67)
+        ref = _run_with(monkeypatch, cfg, 67, chunk=67, cpus=1)
         for chunk in (1, 3, 7, 33):
             sys.setswitchinterval(1e-5)
             try:
-                ens = run_ensemble(cfg, 67, chunk=chunk, workers=4)
+                ens = _run_with(monkeypatch, cfg, 67, chunk=chunk, cpus=4)
             finally:
                 sys.setswitchinterval(interval)
             assert np.array_equal(ens.states, ref.states)
@@ -221,11 +228,11 @@ def test_ensemble_bit_identical_across_chunk_widths():
             assert np.array_equal(rec.r_phi, ref.r_phi[sid])
 
 
-def test_ensemble_stream_offset_slabs_match_full_run():
+def test_ensemble_stream_offset_slabs_match_full_run(monkeypatch):
     cfg = ideal_xz_config(t_final=0.2, seed=9)
-    full = run_ensemble(cfg, 64, chunk=17)
-    lo = run_ensemble(cfg, 32, chunk=9)
-    hi = run_ensemble(cfg, 32, chunk=9, stream_offset=32)
+    full = _run_with(monkeypatch, cfg, 64, chunk=17, cpus=2)
+    lo = _run_with(monkeypatch, cfg, 32, chunk=9, cpus=2)
+    hi = _run_with(monkeypatch, cfg, 32, chunk=9, cpus=2, stream_offset=32)
     assert np.array_equal(full.states, np.concatenate([lo.states, hi.states]))
     assert np.array_equal(full.r_z, np.concatenate([lo.r_z, hi.r_z]))
     assert np.array_equal(hi.stream_ids, np.arange(32, 64))
@@ -280,7 +287,7 @@ def test_cartesian_matches_polar_correlators():
     # radial offset, so dt must be small enough to put that bias below the
     # Monte Carlo noise floor at this trajectory count
     cfg = ideal_xz_config(gamma=0.5, dt=0.0005, t_final=1.0, theta_in=0.6, seed=17)
-    ens = run_ensemble(cfg, 8_000, keep_readouts=False, workers=2)
+    ens = run_ensemble(cfg, 8_000, keep_readouts=False)
     crit = SelectionCriterion(theta_in=0.6, t_total=cfg.t_final)
     sub_c = select(ens, crit)
 
