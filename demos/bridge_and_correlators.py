@@ -13,7 +13,6 @@ import numpy as np
 
 from xzmeas.analytic import BoundaryCondition, correlator_cond, subens_avg_state
 from xzmeas.estimator import SelectionCriterion, correlate, select_polar
-from xzmeas.sde import polar_ensemble
 
 THETA_IN = math.pi / 4
 THETA_F = 7 * math.pi / 8
@@ -34,8 +33,8 @@ def bridge_curves():
 def mc_correlators(t_total=3.5, t2=1.75, count=200_000, window=0.05, seed=2):
     t1_grid = np.linspace(0.175, 3.325, 19)
     times = np.unique(np.concatenate([[0.0, t2, t_total], t1_grid]))
-    th = polar_ensemble(THETA_IN, TAU, times, count, seed=seed)
-    sub = select_polar(times, th, SelectionCriterion(THETA_IN, t_total, THETA_F, window))
+    crit = SelectionCriterion(THETA_IN, t_total, THETA_F, window)
+    sub = select_polar(crit, TAU, times, count, seed=seed)
     bc = BoundaryCondition(THETA_IN, TAU, THETA_F, t_total)
     rows = []
     for kind in ("zz", "zx", "xx"):

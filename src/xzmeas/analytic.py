@@ -27,6 +27,9 @@ MAX_WINDINGS = 64
 
 SERIES_TOL = 1e-12
 
+#: most insertions correlator_npoint takes; it sums 2^n sign patterns
+MAX_POINTS = 10
+
 
 class SeriesError(RuntimeError):
     """Winding series failed to converge within the winding cap."""
@@ -177,12 +180,17 @@ _POINT_KINDS = {"z", "x"}
 def correlator_npoint(kinds, times, bc: BoundaryCondition, n_max: int = MAX_WINDINGS) -> float:
     """General n-point correlator <a1(t1)...an(tn)> for a1.. in {x, z}.
 
-    Each z contributes weight 1/2 per sign, each x contributes s/(2i).
+    Each z contributes weight 1/2 per sign, each x contributes s/(2i).  The
+    cost doubles with each point, so n is capped at ``MAX_POINTS``.
     """
     kinds = list(kinds)
     times = [float(t) for t in times]
     if len(kinds) != len(times) or any(k not in _POINT_KINDS for k in kinds):
         raise DomainError("kinds must be x/z labels matching times")
+    if len(kinds) > MAX_POINTS:
+        raise DomainError(
+            f"correlator_npoint takes at most MAX_POINTS = {MAX_POINTS} points, got {len(kinds)}"
+        )
     total = 0.0 + 0.0j
     order = sorted(range(len(times)), key=lambda i: times[i])
     for signs in np.ndindex(*(2,) * len(kinds)):

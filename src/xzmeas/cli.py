@@ -48,8 +48,8 @@ from .estimator import (
 )
 from .fpe import ConditioningError, KernelParams, two_sided_density
 from .perturb import TreeParams, cov_tree, mean_tree, var_tree
-# polar_states stays in this namespace beside the other stages of a campaign,
-# where profilers look the stages up by name
+# polar_ensemble and polar_states stay in this namespace beside the other
+# stages of a campaign, where profilers look the stages up by name
 from .sde import IntegratorError, polar_ensemble, polar_states, run_ensemble, save_ensemble  # noqa: F401
 
 SCHEMA_VERSION = 1
@@ -217,16 +217,13 @@ def _mc_subensemble(cfg: dict, seed: int) -> SubEnsemble:
     t2 = float(_require(cfg, "t2"))
     t_total = float(_require(cfg, "t_total"))
     times = np.unique(np.concatenate([t1, [t2, t_total]]))
-    thetas = polar_ensemble(
-        _require(cfg, "theta_in"), tau_m, times, int(_require(cfg, "count")), seed
-    )
     crit = SelectionCriterion(
-        theta_in=cfg["theta_in"],
+        theta_in=_require(cfg, "theta_in"),
         t_total=t_total,
         theta_f=cfg.get("theta_f"),
         angular_window=cfg.get("angular_window", 0.05),
     )
-    return select_polar(times, thetas, crit)
+    return select_polar(crit, tau_m, times, int(_require(cfg, "count")), seed)
 
 
 def _mode_compare(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:

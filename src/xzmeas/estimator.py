@@ -2,7 +2,8 @@
 
 Works on anything exposing ``times`` (n,) and ``states`` (count, n, 3):
 Monte Carlo ensembles, polar fast-path samples, or Bayesian reconstructions.
-``select_polar`` post-selects polar angles before any Bloch state is built.
+``select_polar`` samples a post-selected polar ensemble final angle first:
+only the accepted members get a path, and only they become Bloch states.
 Reductions are plain numpy means (pairwise summation) over members ordered by
 stream id, so results are independent of any parallel execution order.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, open_rewrite
-from .sde import polar_states
+from .sde import polar_bridge, polar_ensemble, polar_states
 
 _COORD = {"x": 0, "y": 1, "z": 2}
 
@@ -114,21 +115,26 @@ def select(ens, crit: SelectionCriterion) -> SubEnsemble:
     )
 
 
-def select_polar(times, thetas: np.ndarray, crit: SelectionCriterion) -> SubEnsemble:
-    """``select`` for polar angles (count, n_times) on ``times``.
+def select_polar(crit: SelectionCriterion, tau_m: float, times, count: int,
+                 seed: int = 0) -> SubEnsemble:
+    """Post-selected exact polar Monte Carlo of ``count`` trajectories on ``times``.
 
-    Equals ``select`` on the Bloch states ``polar_states(thetas)``, but tests
-    the criterion on the final angles alone and builds Bloch states only for
-    the accepted members.
+    Draws the final angles first (``polar_ensemble`` on the horizon alone),
+    applies the criterion to them, and fills the earlier times by exact
+    Brownian bridges (``polar_bridge``) for the accepted members only.  The
+    law equals ``select`` on forward-sampled paths, with time and memory
+    spent on ``count`` final angles plus the accepted members' paths.
     """
-    times = np.asarray(times)
+    times = np.asarray(times, dtype=float)
     idx = _horizon(times, crit)
-    keep = _accepted(polar_states(thetas[:, idx]), crit)
+    final = polar_ensemble(crit.theta_in, tau_m, times[idx:idx + 1], count, seed)[:, 0]
+    keep = _accepted(polar_states(final), crit)
+    thetas = polar_bridge(crit.theta_in, tau_m, times[: idx + 1], final[keep], seed)
     return SubEnsemble(
         times=times[: idx + 1],
-        states=polar_states(thetas[keep, : idx + 1]),
+        states=polar_states(thetas),
         accepted_count=int(np.count_nonzero(keep)),
-        total_count=thetas.shape[0],
+        total_count=count,
     )
 
 

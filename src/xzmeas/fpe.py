@@ -20,6 +20,9 @@ from .core import DomainError
 #: crossover D*(t - t0) between wrapped-Gaussian and Fourier-series evaluation
 CROSSOVER = 0.01
 
+#: exp(-a) is exactly 0.0 in double precision for a above 745.14; with margin
+_EXP_UNDERFLOW = 746.0
+
 
 class ConditioningError(RuntimeError):
     """Post-selection probability vanished numerically."""
@@ -63,10 +66,20 @@ def transition_prob(theta, t: float, theta0: float, t0: float, kp: KernelParams)
 
 
 def _wrapped_gaussian(d, x: float, n_max: int):
-    """Heat kernel as a wrapped Gaussian of variance 2x, x = D*(t - t0)."""
+    """Heat kernel as a wrapped Gaussian of variance 2x, x = D*(t - t0).
+
+    Sums only the windings n in [-n_max, n_max] with u^2/(2 var) <=
+    ``_EXP_UNDERFLOW`` for some d, u = d + 2 pi n, in increasing order.  Every
+    other term is exactly 0.0, so the sum is bit-identical to the full one.
+    """
     var = 2.0 * x
     out = np.zeros_like(d)
-    for n in range(-n_max, n_max + 1):
+    lo, hi = -n_max, n_max
+    if out.size and np.isfinite(d).all():
+        reach = math.sqrt(2 * var * _EXP_UNDERFLOW)
+        lo = max(lo, math.ceil((-reach - d.max()) / (2 * math.pi)))
+        hi = min(hi, math.floor((reach - d.min()) / (2 * math.pi)))
+    for n in range(lo, hi + 1):
         u = d + 2 * math.pi * n
         out += np.exp(-(u**2) / (2 * var)) / math.sqrt(2 * math.pi * var)
     return out

@@ -11,10 +11,12 @@ and depolarization) a step is
 
 and the readouts n_c.q + sqrt(tau_c/dt) xi_c share the draws xi_c.  Any angle
 between the two measured axes is handled.  A single trajectory is an
-ensemble of one and runs through the same kernel.  The polar sampler is an
+ensemble of one and runs through the same kernel.  The polar samplers are an
 opt-in fast path for the ideal equal-strength XZ case, where the dynamics is
 exact free diffusion of the polar angle and therefore can be sampled with no
-discretization error.
+discretization error: ``polar_ensemble`` forward in time, ``polar_bridge``
+between a given start and end angle, so a post-selection can draw the final
+angles first and fill in the path only for the members it keeps.
 
 Random numbers: every trajectory owns a counter-based Philox stream keyed by
 (seed, stream_id), so ensembles are reproducible regardless of execution
@@ -253,6 +255,13 @@ def run_ensemble(cfg: SimConfig, count: int, keep_readouts: bool = True,
     )
 
 
+def _sample_times(sample_times) -> np.ndarray:
+    t = np.asarray(sample_times, dtype=float)
+    if t.ndim != 1 or len(t) == 0 or np.any(np.diff(t) <= 0) or t[0] < 0:
+        raise ValueError("sample_times must be strictly increasing and >= 0")
+    return t
+
+
 def polar_ensemble(
     theta_in: float,
     tau_m: float,
@@ -265,11 +274,10 @@ def polar_ensemble(
     The ideal equal-strength XZ dynamics is pure Brownian motion of theta with
     variance t/tau_m, so increments between sample times are drawn exactly;
     no fine stepping is needed.  A sample time 0 draws nothing and holds
-    theta_in.  Returns angles of shape (count, n_times).
+    theta_in.  Returns angles of shape (count, n_times).  Draws come from
+    ``Philox(key=[seed, 0])``.
     """
-    t = np.asarray(sample_times, dtype=float)
-    if t.ndim != 1 or np.any(np.diff(t) <= 0) or t[0] < 0:
-        raise ValueError("sample_times must be strictly increasing and >= 0")
+    t = _sample_times(sample_times)
     gen = np.random.Generator(np.random.Philox(key=[seed, 0]))
     thetas = np.empty((count, len(t)))
     prev = np.full(count, float(theta_in))
@@ -279,6 +287,46 @@ def polar_ensemble(
             prev = prev + math.sqrt((tj - t_prev) / tau_m) * gen.standard_normal(count)
         thetas[:, j] = prev
         t_prev = tj
+    return thetas
+
+
+def polar_bridge(
+    theta_in: float,
+    tau_m: float,
+    sample_times: np.ndarray,
+    theta_end: np.ndarray,
+    seed: int = 0,
+) -> np.ndarray:
+    """Exact Brownian bridges of the polar angle on ``sample_times``.
+
+    Row i starts at theta_in at t = 0 and ends at the unwrapped angle
+    ``theta_end[i]`` at T = ``sample_times[-1]``, so windings are kept.  Times
+    are filled in order from the exact conditional law
+
+        theta_j | theta_{j-1}, theta_T ~ N(theta_{j-1} + f (theta_T - theta_{j-1}),
+                                           f (T - t_j) / tau_m),
+        f = (t_j - t_{j-1}) / (T - t_{j-1}),
+
+    which is free diffusion of variance t/tau_m conditioned on its end point.
+    A sample time 0 holds theta_in; the last column is ``theta_end`` itself.
+    Returns angles of shape (len(theta_end), n_times).  Draws come from
+    ``Philox(key=[seed, 1])``, independent of ``polar_ensemble``'s key
+    [seed, 0], so a final angle drawn there and its bridge never share draws.
+    """
+    t = _sample_times(sample_times)
+    end = np.asarray(theta_end, dtype=float)
+    gen = np.random.Generator(np.random.Philox(key=[seed, 1]))
+    thetas = np.empty((len(end), len(t)))
+    prev = np.full(len(end), float(theta_in))
+    t_prev, t_end = 0.0, t[-1]
+    for j, tj in enumerate(t[:-1]):
+        if tj > t_prev:
+            f = (tj - t_prev) / (t_end - t_prev)
+            sd = math.sqrt(f * (t_end - tj) / tau_m)
+            prev = prev + f * (end - prev) + sd * gen.standard_normal(len(end))
+        thetas[:, j] = prev
+        t_prev = tj
+    thetas[:, -1] = end
     return thetas
 
 

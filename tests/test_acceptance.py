@@ -64,9 +64,8 @@ def gate(capfd):
 
 def _polar_sub(count, t_total, times, seed, window=0.05):
     """Post-selected sub-ensemble of exact polar trajectories."""
-    th = polar_ensemble(THETA_IN, TAU, times, count, seed=seed)
     crit = SelectionCriterion(THETA_IN, t_total, THETA_F, window)
-    return select_polar(times, th, crit)
+    return select_polar(crit, TAU, times, count, seed=seed)
 
 
 def test_exact_backends_agree(gate):
@@ -158,9 +157,8 @@ def test_postselection_rates_match_kernel_integral(gate):
     ok = True
     for seed, t_total in ((19, 1.0), (23, 3.5), (29, 10.0)):
         times = np.array([t_total])
-        th = polar_ensemble(THETA_IN, TAU, times, count, seed=seed)
         crit = SelectionCriterion(THETA_IN, t_total, THETA_F, window)
-        rate = select_polar(times, th, crit).acceptance_rate
+        rate = select_polar(crit, TAU, times, count, seed=seed).acceptance_rate
         grid = np.linspace(THETA_F - window, THETA_F + window, 401)
         dens = transition_prob(grid, t_total, THETA_IN, 0.0, kp)
         expected = float(np.trapezoid(dens, grid))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from xzmeas.analytic import (
+    MAX_POINTS,
     BoundaryCondition,
     SeriesError,
     SourceSpec,
@@ -15,6 +16,7 @@ from xzmeas.analytic import (
     green,
     subens_avg_state,
 )
+from xzmeas.core import DomainError
 from xzmeas.fpe import KernelParams, transition_prob
 
 
@@ -167,6 +169,13 @@ def test_npoint_three_sources_finite():
     assert v_sym != 0.0  # even count of x is parity-even, stays finite
     v_odd = correlator_npoint(("x",), (1.5,), bc_sym)
     assert v_odd == pytest.approx(0.0, abs=1e-12)
+
+
+def test_npoint_caps_points():
+    n = MAX_POINTS + 1
+    times = np.linspace(0.2, 3.3, n)
+    with pytest.raises(DomainError, match=f"MAX_POINTS = {MAX_POINTS}"):
+        correlator_npoint("z" * n, times, BC)
 
 
 def test_truncated_winding_series_raises():

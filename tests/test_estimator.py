@@ -85,30 +85,56 @@ def test_select_empty_errors(ens):
         select(ens, crit)
 
 
-@pytest.mark.parametrize(
-    "crit",
-    [
-        # the window sits a winding away from the sampled angles
-        SelectionCriterion(math.pi / 4, 3.5, 7 * math.pi / 8 + 2 * math.pi, 0.3),
-        SelectionCriterion(math.pi / 4, 2.5, 7 * math.pi / 8, 0.3, euclidean=True),
-        SelectionCriterion(math.pi / 4, 2.5),
-    ],
-    ids=["window_with_winding", "euclidean", "no_theta_f"],
-)
+CRITERIA = [
+    # the window sits a winding away from the sampled angles
+    SelectionCriterion(math.pi / 4, 3.5, 7 * math.pi / 8 + 2 * math.pi, 0.3),
+    SelectionCriterion(math.pi / 4, 2.5, 7 * math.pi / 8, 0.3, euclidean=True),
+    SelectionCriterion(math.pi / 4, 2.5),
+]
+CRITERIA_IDS = ["window_with_winding", "euclidean", "no_theta_f"]
+
+
+@pytest.mark.parametrize("crit", CRITERIA, ids=CRITERIA_IDS)
 def test_select_polar_equals_select_on_bloch_states(crit):
-    th = polar_ensemble(math.pi / 4, 1.0, TIMES, 20_000, seed=9)
-    ref = select(SubEnsemble(TIMES, polar_states(th), len(th), len(th)), crit)
-    sub = select_polar(TIMES, th, crit)
-    assert np.array_equal(sub.times, ref.times)
-    assert np.array_equal(sub.states, ref.states)
+    # the final angles are polar_ensemble's on the horizon alone, so the
+    # acceptance and the final states match select on those Bloch states
+    idx = int(np.argmin(np.abs(TIMES - crit.t_total)))
+    horizon = TIMES[idx:idx + 1]
+    final = polar_ensemble(math.pi / 4, 1.0, horizon, 20_000, seed=9)
+    ref = select(SubEnsemble(horizon, polar_states(final), 20_000, 20_000), crit)
+    sub = select_polar(crit, 1.0, TIMES, 20_000, seed=9)
+    assert np.array_equal(sub.times, TIMES[: idx + 1])
+    assert sub.states.shape == (ref.accepted_count, idx + 1, 3)
+    assert np.array_equal(sub.states[:, -1], ref.states[:, 0])
+    assert np.all(sub.states[:, 0] == polar_states(np.array(math.pi / 4)))
     assert (sub.accepted_count, sub.total_count) == (ref.accepted_count, ref.total_count)
 
 
+@pytest.mark.parametrize("crit", CRITERIA, ids=CRITERIA_IDS)
+def test_select_polar_matches_forward_sampling(crit):
+    # bridges from accepted final angles against forward paths post-selected
+    # by select.  Wide steps make the bridge's conditional variance differ
+    # most from a free increment's, so a wrong variance shows.
+    count = 100_000
+    times = np.array([0.0, 0.75, 1.75, 2.5, 3.5])
+    sub = select_polar(crit, 1.0, times, count, seed=3)
+    fwd = polar_ensemble(math.pi / 4, 1.0, times, count, seed=5)
+    ref = select(SubEnsemble(times, polar_states(fwd), count, count), crit)
+    i = 2  # t = 1.75, inside both horizons
+    for c in (0, 2):  # <x> and <z>
+        v1, v2 = sub.states[:, i, c], ref.states[:, i, c]
+        se = math.hypot(v1.std(ddof=1) / math.sqrt(len(v1)), v2.std(ddof=1) / math.sqrt(len(v2)))
+        assert abs(v1.mean() - v2.mean()) <= 4 * se
+    for a, b, t1 in (("z", "x", times[1]), ("z", "z", times[i])):
+        v1, e1 = correlate(sub, a, b, float(t1), float(times[i]))
+        v2, e2 = correlate(ref, a, b, float(t1), float(times[i]))
+        assert abs(v1 - v2) <= 4 * math.hypot(e1, e2)
+
+
 def test_select_polar_empty_errors():
-    th = polar_ensemble(math.pi / 4, 1.0, TIMES, 1000, seed=9)
     crit = SelectionCriterion(math.pi / 4, 3.5, 7 * math.pi / 8, angular_window=1e-9)
     with pytest.raises(SelectionError):
-        select_polar(TIMES, th, crit)
+        select_polar(crit, 1.0, TIMES, 1000, seed=9)
 
 
 def test_correlate_symmetry(ens):

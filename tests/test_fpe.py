@@ -6,6 +6,7 @@ import pytest
 from xzmeas.analytic import BoundaryCondition, SeriesError, SourceSpec, cond_avg_phase
 from xzmeas.fpe import (
     KernelParams,
+    _wrapped_gaussian,
     cond_avg_fpe,
     cond_avg_fpe_quadrature,
     transition_prob,
@@ -39,6 +40,27 @@ def test_transition_prob_series_vs_wrapped_gaussian():
         a = _fourier_kernel(GRID - 0.7, x, KP.n_max)
         b = _wrapped_gaussian(GRID - 0.7, x, KP.n_max)
         assert np.max(np.abs(a - b)) < 1e-12
+
+
+@pytest.mark.parametrize("x", [1e-6, 1e-3, 0.0099])
+def test_wrapped_gaussian_truncation_is_exact(x):
+    # every winding of the cap, in the same order: the windings left out
+    # contribute exactly 0.0, so the truncated sum matches bit for bit.  The
+    # points with u^2/(2 var) = 730 get only a subnormal term, which a
+    # truncation that reaches too short would lose
+    n_max = KP.n_max
+    var = 2.0 * x
+    edge = math.sqrt(2 * var * 730.0)
+    for d in (
+        np.linspace(-3 * math.pi, 3 * math.pi, 2001),
+        np.array(edge),
+        np.array([-edge - 6 * math.pi]),
+    ):
+        full = np.zeros_like(d)
+        for n in range(-n_max, n_max + 1):
+            u = d + 2 * math.pi * n
+            full += np.exp(-(u**2) / (2 * var)) / math.sqrt(2 * math.pi * var)
+        assert np.array_equal(_wrapped_gaussian(d, x, n_max), full)
 
 
 def test_chapman_kolmogorov(rng):

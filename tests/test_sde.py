@@ -18,6 +18,7 @@ from xzmeas.sde import (
     IntegratorError,
     load_ensemble,
     noise_stream,
+    polar_bridge,
     polar_ensemble,
     polar_states,
     run_ensemble,
@@ -270,6 +271,38 @@ def test_polar_ensemble_time_zero_draws_nothing():
     th = polar_ensemble(0.3, 1.0, times, 1000, seed=6)
     assert np.all(th[:, 0] == 0.3)
     assert np.array_equal(th[:, 1:], polar_ensemble(0.3, 1.0, times[1:], 1000, seed=6))
+
+
+def test_polar_bridge_pins_both_ends():
+    times = np.array([0.0, 0.4, 1.1, 2.0])
+    end = np.array([0.3, -5.0, 0.3 + 4 * math.pi, 1e-3])
+    th = polar_bridge(0.3, 1.0, times, end, seed=6)
+    assert th.shape == (4, 4)
+    assert np.all(th[:, 0] == 0.3)
+    assert np.array_equal(th[:, -1], end)
+    # without a sample at t = 0 the path still leaves theta_in; a single
+    # time draws nothing and returns the end angles
+    no_zero = polar_bridge(0.3, 1.0, times[1:], end, seed=6)
+    assert np.array_equal(no_zero, th[:, 1:])
+    assert np.array_equal(polar_bridge(0.3, 1.0, times[-1:], end), end[:, None])
+
+
+def test_polar_bridge_statistics():
+    # bridge from 0.3 at t = 0 to 1.8 at T = 2 with tau_m = 0.5: theta(t) has
+    # mean theta_in + (t/T)(theta_T - theta_in), and covariance
+    # s (T - t) / (T tau_m) for s <= t
+    n, tau, t_end, th_in, th_end = 200_000, 0.5, 2.0, 0.3, 1.8
+    times = np.array([0.5, 1.0, 1.6, t_end])
+    th = polar_bridge(th_in, tau, times, np.full(n, th_end), seed=12)
+    cov = np.minimum.outer(times, times) * (t_end - np.maximum.outer(times, times)) / (t_end * tau)
+    for j, t in enumerate(times[:-1]):
+        mean = th_in + t / t_end * (th_end - th_in)
+        var = cov[j, j]
+        assert abs(th[:, j].mean() - mean) <= 4 * math.sqrt(var / n)
+        assert abs(th[:, j].var(ddof=1) - var) <= 4 * var * math.sqrt(2 / (n - 1))
+    d0, d2 = th[:, 0] - th[:, 0].mean(), th[:, 2] - th[:, 2].mean()
+    se = math.sqrt((cov[0, 0] * cov[2, 2] + cov[0, 2] ** 2) / n)
+    assert abs(np.mean(d0 * d2) - cov[0, 2]) <= 4 * se
 
 
 def test_polar_states_layout():
