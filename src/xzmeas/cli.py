@@ -120,6 +120,13 @@ def _write_plot_script(path: Path, title: str, csv_name: str, columns) -> None:
 # modes
 # ---------------------------------------------------------------------------
 
+def _exact_correlator(kind: str, t1: np.ndarray, t2: float, bc: BoundaryCondition) -> np.ndarray:
+    """Closed-form correlator on the whole t1 grid, one call per kind."""
+    if bc.post_selected:
+        return correlator_cond(kind, t1, t2, bc)
+    return correlator_pre(kind, t1, t2, bc.theta_in, bc.tau_m)
+
+
 def _mode_analytic(cfg: dict, out: Path) -> list[str]:
     bc = BoundaryCondition(
         theta_in=_require(cfg, "theta_in"),
@@ -132,12 +139,8 @@ def _mode_analytic(cfg: dict, out: Path) -> list[str]:
     t2 = float(_require(cfg, "t2"))
     rows = []
     for kind in cfg.get("kinds", ["zz", "zx", "xx"]):
-        for t in t1:
-            if bc.post_selected:
-                v = correlator_cond(kind, float(t), t2, bc)
-            else:
-                v = correlator_pre(kind, float(t), t2, bc.theta_in, bc.tau_m)
-            rows.append((float(t), t2, kind, v, 0.0, 0, 0))
+        values = _exact_correlator(kind, t1, t2, bc)
+        rows += [(float(t), t2, kind, v, 0.0, 0, 0) for t, v in zip(t1, values)]
     csv = out / "analytic_correlators.csv"
     write_correlator_csv(csv, rows)
     outputs.append(csv.name)
@@ -241,12 +244,8 @@ def _mode_compare(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
     rows = []
     ok = True
     for kind in cfg.get("kinds", ["zz", "zx"]):
-        for t in t1:
+        for t, ref in zip(t1, _exact_correlator(kind, t1, t2, bc)):
             mc, se = correlate(sub, kind[0], kind[1], float(t), t2)
-            if bc.post_selected:
-                ref = correlator_cond(kind, float(t), t2, bc)
-            else:
-                ref = correlator_pre(kind, float(t), t2, bc.theta_in, bc.tau_m)
             rows.append((float(t), t2, f"mc_{kind}", mc, se, sub.accepted_count, sub.total_count))
             rows.append((float(t), t2, f"analytic_{kind}", ref, 0.0, 0, 0))
             if abs(mc - ref) > n_sigma * se:

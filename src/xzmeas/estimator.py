@@ -40,6 +40,8 @@ class SelectionCriterion:
     euclidean: bool = False
 
     def __post_init__(self):
+        if not all(math.isfinite(a) for a in (self.theta_in, self.theta_f) if a is not None):
+            raise DomainError("selection angles must be finite")
         if self.theta_f is not None and not 0 < self.angular_window <= math.pi:
             raise DomainError("angular_window must lie in (0, pi]")
 

@@ -14,14 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import BoundaryCondition, SeriesError, _check_tails, _normalize_sources, _scaled_sum
+from .analytic import (
+    _EXP_UNDERFLOW,
+    BoundaryCondition,
+    SeriesError,
+    _normalize_sources,
+    _winding_ratio_resummed,
+)
 from .core import DomainError
 
 #: crossover D*(t - t0) between wrapped-Gaussian and Fourier-series evaluation
 CROSSOVER = 0.01
-
-#: exp(-a) is exactly 0.0 in double precision for a above 745.14; with margin
-_EXP_UNDERFLOW = 746.0
 
 
 class ConditioningError(RuntimeError):
@@ -116,8 +119,9 @@ def two_sided_density(theta, t: float, bc: BoundaryCondition, kp: KernelParams):
 def cond_avg_fpe(src, bc: BoundaryCondition, kp: KernelParams) -> complex:
     """Two-point conditional source average via the Fokker-Planck kernel.
 
-    Closed-form winding series; analytically equal to the path-integral
-    route by Poisson resummation.  Entries with s = 0 are dropped.
+    A series over the kernel's Fourier modes n, with log weights
+    -D n^2 T + 2 D S n + i n dtheta; analytically equal to the path-integral
+    winding sum by Poisson resummation.  Entries with s = 0 are dropped.
     """
     if not bc.post_selected:
         raise DomainError("cond_avg_fpe requires a post-selected boundary")
@@ -129,27 +133,17 @@ def cond_avg_fpe(src, bc: BoundaryCondition, kp: KernelParams) -> complex:
         raise DomainError("source times must lie in [0, T]")
     if not pts:
         return 1.0 + 0.0j
-    if len(pts) == 1:
-        (s1, t1), (s2, t2) = pts[0], (0, 0.0)
-    else:
-        (s1, t1), (s2, t2) = pts
-    tmin = t1
+    (s1, t1), (s2, t2) = (pts + [(0, 0.0)])[:2]  # t1 <= t2; one source: s2 = 0
     S = s1 * t1 + s2 * t2
-    stot = s1 + s2
-    dtheta = bc.theta_f - bc.theta_in
-    pref = cmath.exp(
-        1j * bc.theta_in * stot
-        - D * (s1 * s1 * t1 + s2 * s2 * t2 + 2 * s1 * s2 * tmin)
+    # analytic's resummed series sums these modes with every log weight
+    # shifted by -D S^2/T; the prefactor puts the constant back
+    expo = (
+        1j * bc.theta_in * (s1 + s2)
+        - D * (s1 * s1 * t1 + s2 * s2 * t2 + 2 * s1 * s2 * t1)
+        + D * S * S / T
     )
-    center = round(S / T)
-    n = np.arange(min(center, 0) - kp.n_max, max(center, 0) + kp.n_max + 1)
-    num_expo = -D * n**2 * T + 1j * n * dtheta + 2 * D * S * n
-    den_expo = -D * n**2 * T + 1j * n * dtheta
-    _check_tails(num_expo)
-    _check_tails(den_expo)
-    num, ln = _scaled_sum(num_expo)
-    den, ld = _scaled_sum(den_expo)
-    return pref * num / den * math.exp(ln - ld)
+    ratio = _winding_ratio_resummed(bc.theta_f - bc.theta_in, S, T, 1 / (2 * D), kp.n_max)
+    return cmath.exp(expo) * complex(ratio)
 
 
 def cond_avg_fpe_quadrature(

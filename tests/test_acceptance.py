@@ -18,7 +18,7 @@ from scipy.linalg import expm
 from xzmeas import cli
 from xzmeas.analytic import (
     BoundaryCondition,
-    cond_avg_phase,
+    _source_average,
     correlator_cond,
     correlator_pre,
     subens_avg_state,
@@ -69,8 +69,9 @@ def _polar_sub(count, t_total, times, seed, window=0.05):
 
 
 def test_exact_backends_agree(gate):
-    # closed-form conditional phase averages vs the diffusion-kernel route,
-    # every sign pair on a 5x5 time grid, three horizons
+    # the direct winding sum of the path integral, forced at every horizon,
+    # vs the diffusion kernel's Fourier-mode series, every sign pair on a 5x5
+    # time grid, three horizons
     kp = KernelParams.from_tau(TAU)
     start = time.perf_counter()
     worst = 0.0
@@ -83,7 +84,8 @@ def test_exact_backends_agree(gate):
                     for s2 in (1, -1):
                         src = sorted([(s1, float(t1)), (s2, float(t2))],
                                      key=lambda p: p[1])
-                        a = cond_avg_phase(src, bc)
+                        signs, times = np.array(src, dtype=float).T
+                        a = _source_average(signs[None], times[None], bc, resummed=False)[0, 0]
                         b = cond_avg_fpe(src, bc, kp)
                         worst = max(worst, abs(a - b))
     elapsed = time.perf_counter() - start

@@ -151,6 +151,11 @@ def test_unconditional_reduces_to_preselected():
     assert correlator_cond("zx", 1.0, 2.0, bc_free) == pytest.approx(
         correlator_pre("zx", 1.0, 2.0, math.pi / 4, 1.0), rel=1e-12
     )
+    # long times, where cosh(tmin/tau) alone overflows
+    for kind in ("zz", "zx", "xx"):
+        assert correlator_cond(kind, 750.0, 800.0, bc_free) == pytest.approx(
+            correlator_pre(kind, 750.0, 800.0, math.pi / 4, 1.0), rel=1e-12, abs=1e-300
+        )
 
 
 def test_npoint_reduces_to_two_point():
@@ -189,6 +194,122 @@ def test_truncated_winding_series_raises():
     with pytest.raises(SeriesError, match="not converged"):
         subens_avg_state(0.5, direct, n_max=1)
     subens_avg_state(0.5, direct)
+
+
+@pytest.mark.parametrize(
+    "bc",
+    [
+        BoundaryCondition(theta_in=0.3, tau_m=1.0, theta_f=2.0, t_total=0.5),
+        BoundaryCondition(theta_in=0.3, tau_m=1.0, theta_f=2.0, t_total=3.5),
+        BoundaryCondition(theta_in=0.3, tau_m=1.0),
+    ],
+    ids=["direct", "resummed", "preselected"],
+)
+def test_correlator_cond_on_t1_array_equals_scalar_calls(bc):
+    T = bc.t_total or 3.5
+    t1 = np.linspace(0.0, T, 16)
+    t2 = 0.4 * T
+    for kind in ("zz", "zx", "xz", "xx"):
+        values = correlator_cond(kind, t1, t2, bc)
+        assert isinstance(values, np.ndarray) and values.shape == (16,)
+        scalar = [correlator_cond(kind, float(t), t2, bc) for t in t1]
+        np.testing.assert_allclose(values, scalar, rtol=0, atol=1e-12)
+        if not bc.post_selected:
+            pre = correlator_pre(kind, t1, t2, bc.theta_in, bc.tau_m)
+            np.testing.assert_allclose(values, pre, rtol=0, atol=1e-12)
+            scalar_pre = [correlator_pre(kind, float(t), t2, bc.theta_in, bc.tau_m) for t in t1]
+            np.testing.assert_allclose(pre, scalar_pre, rtol=0, atol=1e-12)
+
+
+def test_scalar_t1_returns_float():
+    for bc in (BC, BoundaryCondition(theta_in=0.3, tau_m=1.0)):
+        for kind in ("zz", "zx", "xz", "xx"):
+            assert type(correlator_cond(kind, 1.2, 2.0, bc)) is float
+            assert type(correlator_cond(kind, np.float64(1.2), 2.0, bc)) is float
+        assert type(correlator_pre("zz", 1.2, 2.0, 0.3, 1.0)) is float
+    assert type(correlator_npoint("zxz", (0.5, 1.5, 2.5), BC)) is float
+
+
+def test_npoint_rows_equal_one_row_at_a_time(rng):
+    times = np.sort(rng.uniform(0.0, BC.t_total, (7, 3)), axis=1)
+    times[0] = (0.0, 1.0, BC.t_total)  # sources on both boundaries
+    for kinds in ("zzz", "xzx", "zxx"):
+        rows = correlator_npoint(kinds, times, BC)
+        assert rows.shape == (7,)
+        one = [correlator_npoint(kinds, row, BC) for row in times]
+        np.testing.assert_allclose(rows, one, rtol=0, atol=1e-12)
+
+
+def test_green_on_arrays_matches_scalar_calls(rng):
+    T = 3.5
+    t, t2 = rng.uniform(0.0, T, (2, 9))
+    g = green(t[:, None], t2[None, :], T)
+    assert g.shape == (9, 9)
+    for i in range(9):
+        for j in range(9):
+            assert g[i, j] == green(float(t[i]), float(t2[j]), T)
+    with pytest.raises(DomainError):
+        green(np.array([0.5, T + 0.1]), 1.0, T)
+
+
+def test_truncated_winding_series_raises_on_t1_array():
+    t1 = np.linspace(0.1, 0.9, 16)
+    for t_total in (1.0, 3.5):  # direct and resummed branch
+        bc = BoundaryCondition(theta_in=0.3, tau_m=1.0, theta_f=2.0, t_total=t_total)
+        with pytest.raises(SeriesError, match="not converged"):
+            correlator_cond("zx", t1, 0.5, bc, n_max=1)
+        assert np.all(np.isfinite(correlator_cond("zx", t1, 0.5, bc)))
+
+
+def test_winding_ratio_skips_only_vanishing_terms(rng):
+    # both branches sum only the terms whose scaled weight is not exactly 0.0;
+    # a plain sum over a far wider lattice must agree to rounding
+    from xzmeas.analytic import _winding_ratio
+
+    def plain(dtheta, S, T, tau):
+        if T / tau <= 1.0:
+            u = dtheta + 2 * math.pi * np.arange(-200, 201)
+            e = -(u**2) * tau / (2 * T)
+            num = np.exp(e - e.max() + 1j * S[:, None] * u / T).sum(axis=1)
+            return num / np.exp(e - e.max()).sum()
+        k = np.arange(-300, 301)
+        num = np.exp(1j * k * dtheta - (k * T - S[:, None]) ** 2 / (2 * tau * T)).sum(axis=1)
+        return num / np.exp(1j * k * dtheta - k**2 * T / (2 * tau)).sum()
+
+    for T in (0.05, 0.3, 0.99, 1.01, 3.5, 10.0, 30.0):
+        for _ in range(5):
+            dtheta = float(rng.uniform(-7.0, 7.0))
+            S = rng.uniform(-2 * T, 2 * T, 8)
+            ratio = _winding_ratio(dtheta, S, T, 1.0, 64)
+            np.testing.assert_allclose(ratio, plain(dtheta, S, T, 1.0), rtol=0, atol=1e-13)
+
+
+def test_check_tails_checks_every_row():
+    from xzmeas.analytic import _check_tails
+
+    k = np.arange(-8.0, 9.0)
+    converged = -(k**2)  # end terms e^-64 below the peak
+    peaks = _check_tails(np.stack([converged, converged - 2.0]))
+    np.testing.assert_array_equal(peaks, [0.0, -2.0])
+    with pytest.raises(SeriesError, match="not converged"):
+        _check_tails(np.stack([converged, converged, -0.1 * k**2]))
+
+
+def test_array_path_keeps_domain_checks():
+    with pytest.raises(DomainError, match="source times"):
+        correlator_cond("zz", np.array([0.5, BC.t_total + 0.1]), 1.0, BC)
+    with pytest.raises(DomainError, match="n_max"):
+        correlator_cond("zz", np.array([0.5, 1.0]), 1.0, BC, n_max=0)
+    with pytest.raises(DomainError, match="n_max"):
+        correlator_cond("zz", np.array([0.5, 1.0]), 1.0, BC, n_max=65)
+    with pytest.raises(DomainError, match="unknown correlator kind"):
+        correlator_cond("zy", np.array([0.5, 1.0]), 1.0, BC)
+
+
+@pytest.mark.parametrize("theta_in,theta_f", [(math.nan, 0.5), (0.3, math.inf), (-math.inf, None)])
+def test_boundary_rejects_non_finite_angles(theta_in, theta_f):
+    with pytest.raises(DomainError, match="finite"):
+        BoundaryCondition(theta_in, 1.0, theta_f, 3.5)
 
 
 def test_subens_avg_state_boundary_pinning():

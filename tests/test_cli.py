@@ -134,6 +134,24 @@ def test_mode_compare_empty_selection_is_numerical_error(tmp_path, capsys):
     assert "numerical error [SelectionError]" in capsys.readouterr().err
 
 
+def test_fpe_nan_theta_in_exits_config(tmp_path, capsys):
+    # json reads the literal NaN; unchecked, it gave an all-NaN table and exit 0
+    out = tmp_path / "out"
+    cfg = {"schema_version": 1, "mode": "fpe", "output_dir": str(out),
+           "theta_in": math.nan, "theta_f": 7 * math.pi / 8, "t_total": 3.5,
+           "tau_m": 1.0, "times": [0.5, 1.75, 3.0]}
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_CONFIG
+    assert not (out / "fpe_density.csv").exists()
+    assert "angles must be finite" in capsys.readouterr().err
+
+
+def test_compare_nan_theta_f_exits_config(tmp_path, capsys):
+    # unchecked, a NaN theta_f accepted no member and read as a numerical error
+    cfg = dict(compare_config(tmp_path / "out", count=100), theta_f=math.nan)
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_CONFIG
+    assert "angles must be finite" in capsys.readouterr().err
+
+
 def simulate_config(out, seed=3):
     return {
         "schema_version": 1,

@@ -74,6 +74,12 @@ def test_select_euclidean(ens):
     assert 0 < sub.accepted_count < ens.accepted_count
 
 
+@pytest.mark.parametrize("theta_in,theta_f", [(math.nan, 0.5), (0.3, math.inf), (-math.inf, None)])
+def test_selection_rejects_non_finite_angles(theta_in, theta_f):
+    with pytest.raises(DomainError, match="finite"):
+        SelectionCriterion(theta_in, 3.5, theta_f)
+
+
 def test_select_empty_errors(ens):
     crit = SelectionCriterion(
         theta_in=math.pi / 4,
