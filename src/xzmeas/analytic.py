@@ -150,7 +150,7 @@ def _check_tails(expo: np.ndarray) -> np.ndarray:
     return peak
 
 
-def _source_average(signs, times, bc, n_max=MAX_WINDINGS, resummed=None) -> np.ndarray:
+def _source_average(signs, times, bc, n_max=MAX_WINDINGS) -> np.ndarray:
     """Averages of exp[i sum_j s_j theta(t_j)], one per time row and sign row.
 
     ``signs`` is (k, n), ``times`` (m, n), the result (m, k).  Without
@@ -166,7 +166,7 @@ def _source_average(signs, times, bc, n_max=MAX_WINDINGS, resummed=None) -> np.n
     avg = np.exp(quad / (2 * bc.tau_m) + 1j * bc.theta_in * signs.sum(axis=1))
     if bc.post_selected:
         S = np.einsum("mn,kn->mk", times, signs)
-        avg *= _winding_ratio(bc.theta_f - bc.theta_in, S, T, bc.tau_m, n_max, resummed)
+        avg *= _winding_ratio(bc.theta_f - bc.theta_in, S, T, bc.tau_m, n_max)
     return avg
 
 
@@ -266,7 +266,7 @@ def subens_avg_state(
     if t == T:
         return polar_to_bloch(bc.theta_f)
     # z + i x is the one-source average <exp(i theta(t))>, G(t, t) = -t (1 - t/T);
-    # for one S the direct sum costs less than the resummed mode table
+    # the direct winding sum at every horizon, so RESUM_THRESHOLD leaves the state curve as is
     ratio = _winding_ratio(bc.theta_f - bc.theta_in, t, T, tau, n_max, resummed=False)
     avg = np.exp(-t * (1 - t / T) / (2 * tau) + 1j * bc.theta_in) * ratio
     return BlochState(float(avg.imag), 0.0, float(avg.real))
