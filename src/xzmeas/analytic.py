@@ -34,6 +34,8 @@ MAX_POINTS = 10
 #: exp(-a) is exactly 0.0 in double precision for a above 745.14; with margin
 _EXP_UNDERFLOW = 746.0
 
+_EPS = float(np.finfo(float).eps)
+
 
 class SeriesError(RuntimeError):
     """Winding series failed to converge within the winding cap."""
@@ -130,8 +132,17 @@ def _winding_ratio_resummed(dtheta, S, T: float, tau: float, n_max: int):
     num -= peak[..., None]
     kn = (num >= -_EXP_UNDERFLOW).reshape(-1, k.size).any(axis=0)
     phase = np.exp(1j * dtheta * k)
+    weight = np.exp(den)
+    den_sum = np.sum(weight * phase)
+    # the plain sum is positive; at short horizons it cancels to far below
+    # its terms, and its rounding error eps * sum|terms| then swamps it
+    if _EPS * weight.sum() > SERIES_TOL * abs(den_sum):
+        raise SeriesError(
+            f"Fourier-mode sum cancelled: |sum| {abs(den_sum):.3g} against "
+            f"terms of total modulus {weight.sum():.3g}"
+        )
     num_sum = np.einsum("...j,j", np.exp(num[..., kn]), phase[kn])
-    return num_sum * np.exp(peak) / np.sum(np.exp(den) * phase)
+    return num_sum * np.exp(peak) / den_sum
 
 
 def _check_tails(expo: np.ndarray) -> np.ndarray:
@@ -150,11 +161,12 @@ def _check_tails(expo: np.ndarray) -> np.ndarray:
     return peak
 
 
-def _source_average(signs, times, bc, n_max=MAX_WINDINGS) -> np.ndarray:
+def _source_average(signs, times, bc, n_max=MAX_WINDINGS, resummed=None) -> np.ndarray:
     """Averages of exp[i sum_j s_j theta(t_j)], one per time row and sign row.
 
     ``signs`` is (k, n), ``times`` (m, n), the result (m, k).  Without
     post-selection this is the T -> infinity limit, with winding ratio 1.
+    ``resummed`` forces a branch of the winding series (``_winding_ratio``).
     """
     if n_max < 1 or n_max > MAX_WINDINGS:
         raise DomainError(f"n_max must lie in [1, {MAX_WINDINGS}]")
@@ -166,7 +178,7 @@ def _source_average(signs, times, bc, n_max=MAX_WINDINGS) -> np.ndarray:
     avg = np.exp(quad / (2 * bc.tau_m) + 1j * bc.theta_in * signs.sum(axis=1))
     if bc.post_selected:
         S = np.einsum("mn,kn->mk", times, signs)
-        avg *= _winding_ratio(bc.theta_f - bc.theta_in, S, T, bc.tau_m, n_max)
+        avg *= _winding_ratio(bc.theta_f - bc.theta_in, S, T, bc.tau_m, n_max, resummed)
     return avg
 
 
@@ -252,21 +264,23 @@ def correlator_pre(kind: str, t1, t2, theta_in: float, tau_m: float):
     return float(out) if out.ndim == 0 else out
 
 
-def subens_avg_state(
-    t: float, bc: BoundaryCondition, n_max: int = MAX_WINDINGS
-) -> BlochState:
-    """Bloch vector averaged over the pre- and post-selected sub-ensemble."""
+def subens_avg_state(t, bc: BoundaryCondition, n_max: int = MAX_WINDINGS):
+    """Bloch vector averaged over the pre- and post-selected sub-ensemble.
+
+    A scalar ``t`` gives a BlochState, an array of times an array of shape
+    ``t.shape + (3,)``.  z + i x is the one-source average <exp(i theta(t))>,
+    by the direct winding sum at every horizon, so RESUM_THRESHOLD leaves the
+    state curve as is; t = 0 and t = T give the boundary states exactly.
+    """
     if not bc.post_selected:
         raise DomainError("subens_avg_state requires a post-selected boundary")
-    T, tau = bc.t_total, bc.tau_m
-    if not 0 <= t <= T:
+    T = bc.t_total
+    ts = np.asarray(t, dtype=float)
+    if not np.all((0 <= ts) & (ts <= T)):
         raise DomainError("t must lie in [0, T]")
-    if t == 0.0:
-        return polar_to_bloch(bc.theta_in)
-    if t == T:
-        return polar_to_bloch(bc.theta_f)
-    # z + i x is the one-source average <exp(i theta(t))>, G(t, t) = -t (1 - t/T);
-    # the direct winding sum at every horizon, so RESUM_THRESHOLD leaves the state curve as is
-    ratio = _winding_ratio(bc.theta_f - bc.theta_in, t, T, tau, n_max, resummed=False)
-    avg = np.exp(-t * (1 - t / T) / (2 * tau) + 1j * bc.theta_in) * ratio
-    return BlochState(float(avg.imag), 0.0, float(avg.real))
+    flat = ts.reshape(-1)
+    avg = _source_average(np.ones((1, 1)), flat[:, None], bc, n_max, resummed=False)[:, 0]
+    q = np.stack([avg.imag, np.zeros(len(flat)), avg.real], axis=-1)
+    q[flat == 0.0] = polar_to_bloch(bc.theta_in).as_array()
+    q[flat == T] = polar_to_bloch(bc.theta_f).as_array()
+    return BlochState.from_array(q[0]) if ts.ndim == 0 else q.reshape(ts.shape + (3,))

@@ -74,6 +74,16 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _count(cfg: dict) -> int:
+    """The ``count`` field: a positive integer (an integral float such as
+    1e6 included), never a bool."""
+    count = _require(cfg, "count")
+    if (isinstance(count, bool) or not isinstance(count, (int, float))
+            or not float(count).is_integer() or count < 1):
+        raise ConfigError(f"count must be a positive integer, got {count!r}")
+    return int(count)
+
+
 def _grid(spec) -> np.ndarray:
     if isinstance(spec, dict):
         try:
@@ -146,11 +156,11 @@ def _mode_analytic(cfg: dict, out: Path) -> list[str]:
     outputs.append(csv.name)
     if bc.post_selected:
         path = out / "analytic_state.csv"
+        ts = np.linspace(0.0, bc.t_total, cfg.get("state_points", 101))
         with open_rewrite(path) as fh:
             fh.write("t,x,z,norm\n")
-            for t in np.linspace(0.0, bc.t_total, cfg.get("state_points", 101)):
-                q = subens_avg_state(float(t), bc)
-                fh.write(f"{float(t)!r},{q.x!r},{q.z!r},{math.hypot(q.x, q.z)!r}\n")
+            for t, (x, _, z) in zip(ts, subens_avg_state(ts, bc).tolist()):
+                fh.write(f"{float(t)!r},{x!r},{z!r},{math.hypot(x, z)!r}\n")
         outputs.append(path.name)
         gp = out / "fig1a.gp"
         _write_plot_script(gp, "sub-ensemble average state", path.name, ["1:2", "1:3", "1:4"])
@@ -226,7 +236,7 @@ def _mc_subensemble(cfg: dict, seed: int) -> SubEnsemble:
         theta_f=cfg.get("theta_f"),
         angular_window=cfg.get("angular_window", 0.05),
     )
-    return select_polar(crit, tau_m, times, int(_require(cfg, "count")), seed)
+    return select_polar(crit, tau_m, times, _count(cfg), seed)
 
 
 def _mode_compare(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
@@ -258,7 +268,7 @@ def _mode_compare(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
 def _mode_simulate(cfg: dict, out: Path, seed: int) -> list[str]:
     sim = _sim_config(_require(cfg, "sim"), seed_override=seed)
     save = bool(cfg.get("save_ensemble", False))
-    ens = run_ensemble(sim, int(_require(cfg, "count")), keep_readouts=save)
+    ens = run_ensemble(sim, _count(cfg), keep_readouts=save)
     outputs = []
     if save:
         path = out / "ensemble.npz"

@@ -2,10 +2,14 @@
 
 Works on anything exposing ``times`` (n,) and ``states`` (count, n, 3):
 Monte Carlo ensembles, polar fast-path samples, or Bayesian reconstructions.
-``select_polar`` samples a post-selected polar ensemble final angle first:
-only the accepted members get a path, and only they become Bloch states.
-Reductions are plain numpy means (pairwise summation) over members ordered by
-stream id, so results are independent of any parallel execution order.
+``select_polar`` samples a post-selected polar ensemble final angle first.
+For a windowed criterion it draws the accepted members straight from their
+exact law (a binomial count, a winding per member, a truncated normal final
+angle), so time and memory scale with the accepted members, not with the
+members drawn; only the accepted members get a path and become Bloch states.
+Reductions are plain numpy means (pairwise summation) over members in a
+fixed order (stream id, or winding for ``select_polar``), so results are
+independent of any parallel execution order.
 """
 from __future__ import annotations
 
@@ -18,10 +22,16 @@ from .core import DomainError, open_rewrite
 from .sde import polar_bridge, polar_ensemble, polar_states
 
 _COORD = {"x": 0, "y": 1, "z": 2}
+_SQRT2 = math.sqrt(2.0)
+_SQRT2PI = math.sqrt(2 * math.pi)
 
 
 class SelectionError(RuntimeError):
     """No trajectory satisfied the post-selection criterion."""
+
+
+def _empty_selection(total: int) -> SelectionError:
+    return SelectionError(f"0 of {total} trajectories accepted (rate 0); widen the window")
 
 
 @dataclass(frozen=True)
@@ -90,9 +100,7 @@ def _accepted(final: np.ndarray, crit: SelectionCriterion) -> np.ndarray:
         delta = np.mod(theta - crit.theta_f + math.pi, 2 * math.pi) - math.pi
         keep = np.abs(delta) <= crit.angular_window
     if not keep.any():
-        raise SelectionError(
-            f"0 of {len(final)} trajectories accepted (rate 0); widen the window"
-        )
+        raise _empty_selection(len(final))
     return keep
 
 
@@ -117,25 +125,118 @@ def select(ens, crit: SelectionCriterion) -> SubEnsemble:
     )
 
 
+def _normal_mass(a: float, b: float) -> float:
+    """Phi(b) - Phi(a) for a <= b, from the tail on the side of [a, b] away
+    from the mean, so that a window far in a tail does not cancel to 0."""
+    if a > 0:
+        return (math.erfc(a / _SQRT2) - math.erfc(b / _SQRT2)) / 2
+    if b < 0:
+        return (math.erfc(-b / _SQRT2) - math.erfc(-a / _SQRT2)) / 2
+    return (math.erf(b / _SQRT2) - math.erf(a / _SQRT2)) / 2
+
+
+def _truncated_normal(gen, a: float, b: float, size: int) -> np.ndarray:
+    """``size`` exact draws of the standard normal restricted to [a, b].
+
+    Accept-reject with the proposal of Robert (1995, Stat. Comput. 5:121)
+    that suits the interval: the normal itself on a wide interval holding the
+    mode, a uniform on a short one, and an exponential of rate
+    (a + sqrt(a^2 + 4))/2 on a long tail interval.  Each accepts about half
+    of its proposals or more, whatever the interval.
+    """
+    if b <= 0:  # the mirror image of a right-hand interval
+        return -_truncated_normal(gen, -b, -a, size)
+    out = np.empty(size)
+    filled = 0
+    while filled < size:
+        n = 2 * (size - filled) + 16
+        if a < 0 and b - a > _SQRT2PI:
+            z = gen.standard_normal(n)
+            z = z[(a <= z) & (z <= b)]
+        elif a < 0 or (b - a) * (b + a) <= 2:
+            # exp(-(z^2 - c^2)/2) with c the point of [a, b] nearest the mode
+            c2 = 0.0 if a < 0 else a * a
+            z = gen.uniform(a, b, n)
+            z = z[gen.random(n) <= np.exp((c2 - z * z) / 2)]
+        else:
+            rate = (a + math.sqrt(a * a + 4)) / 2
+            z = a + gen.exponential(1 / rate, n)
+            z = z[(z <= b) & (gen.random(n) <= np.exp(-((z - rate) ** 2) / 2))]
+        take = min(len(z), size - filled)
+        out[filled:filled + take] = z[:take]
+        filled += take
+    return out
+
+
+def _window_finals(crit: SelectionCriterion, sd: float, count: int,
+                   gen) -> np.ndarray:
+    """Unwrapped final angles of the members of ``count`` draws of
+    N(theta_in, sd^2) that meet a criterion with ``theta_f``.
+
+    The accepted count is Binomial(count, p), p the mass of the windows
+    theta_f + 2 pi n +- w summed over every winding n whose mass is not
+    exactly 0.0; each member takes a winding with probability proportional
+    to its mass, then an angle from the normal truncated to that window.
+    Members come grouped by winding.  A euclidean ball of radius r on pure
+    states is the window w = 2 arcsin(min(r/2, 1)).
+    """
+    w = crit.angular_window
+    if crit.euclidean:
+        w = 2 * math.asin(min(w / 2, 1.0))
+    d = crit.theta_f - crit.theta_in
+    first = -round(d / (2 * math.pi))  # the window nearest the mean
+    windows, masses = [], []
+    for n, step in ((first, 1), (first - 1, -1)):  # outwards, while mass is left
+        while True:
+            lo, hi = (d + 2 * math.pi * n - w) / sd, (d + 2 * math.pi * n + w) / sd
+            mass = _normal_mass(lo, hi)
+            if mass == 0.0:
+                break
+            windows.append((lo, hi))
+            masses.append(mass)
+            n += step
+    p = math.fsum(masses)
+    accepted = int(gen.binomial(count, min(p, 1.0)))
+    if accepted == 0:
+        raise _empty_selection(count)
+    per_window = gen.multinomial(accepted, np.array(masses) / p)
+    z = [_truncated_normal(gen, lo, hi, int(k))
+         for (lo, hi), k in zip(windows, per_window) if k]
+    return crit.theta_in + sd * np.concatenate(z)
+
+
 def select_polar(crit: SelectionCriterion, tau_m: float, times, count: int,
                  seed: int = 0) -> SubEnsemble:
     """Post-selected exact polar Monte Carlo of ``count`` trajectories on ``times``.
 
-    Draws the final angles first (``polar_ensemble`` on the horizon alone),
-    applies the criterion to them, and fills the earlier times by exact
-    Brownian bridges (``polar_bridge``) for the accepted members only.  The
-    law equals ``select`` on forward-sampled paths, with time and memory
-    spent on ``count`` final angles plus the accepted members' paths.
+    Samples the final angles first and fills the earlier times by exact
+    Brownian bridges (``polar_bridge``, key [seed, 1]).  The unwrapped final
+    angle is N(theta_in, t/tau_m) at the horizon t, so for a criterion with
+    ``theta_f`` the accepted members are drawn straight from their exact law
+    (``Philox(key=[seed, 0])``): a binomial accepted count, a winding per
+    member, and the final angle from the normal truncated to that winding's
+    window.  Time and memory are O(accepted x times); nothing of length
+    ``count`` is built.  Without ``theta_f`` every member is kept, and the
+    final angles are ``polar_ensemble`` on the horizon alone.  The law
+    equals ``select`` on forward-sampled paths; the draws do not.
     """
+    if count < 1:
+        raise ValueError("count must be >= 1")
     times = np.asarray(times, dtype=float)
     idx = _horizon(times, crit)
-    final = polar_ensemble(crit.theta_in, tau_m, times[idx:idx + 1], count, seed)[:, 0]
-    keep = _accepted(polar_states(final), crit)
-    thetas = polar_bridge(crit.theta_in, tau_m, times[: idx + 1], final[keep], seed)
+    horizon = times[idx:idx + 1]
+    if crit.theta_f is None:
+        final = polar_ensemble(crit.theta_in, tau_m, horizon, count, seed)[:, 0]
+    else:
+        if not horizon[0] > 0:
+            raise DomainError("post-selection needs a horizon after t = 0")
+        gen = np.random.Generator(np.random.Philox(key=[seed, 0]))
+        final = _window_finals(crit, math.sqrt(horizon[0] / tau_m), count, gen)
+    thetas = polar_bridge(crit.theta_in, tau_m, times[: idx + 1], final, seed)
     return SubEnsemble(
         times=times[: idx + 1],
         states=polar_states(thetas),
-        accepted_count=int(np.count_nonzero(keep)),
+        accepted_count=len(final),
         total_count=count,
     )
 

@@ -15,8 +15,9 @@ ensemble of one and runs through the same kernel.  The polar samplers are an
 opt-in fast path for the ideal equal-strength XZ case, where the dynamics is
 exact free diffusion of the polar angle and therefore can be sampled with no
 discretization error: ``polar_ensemble`` forward in time, ``polar_bridge``
-between a given start and end angle, so a post-selection can draw the final
-angles first and fill in the path only for the members it keeps.
+between a given start and end angle.  A post-selection
+(``estimator.select_polar``) draws the kept members' final angles straight
+from the Gaussian law of the final angle and fills in their paths alone.
 
 Random numbers: every trajectory owns a counter-based Philox stream keyed by
 (seed, stream_id), so ensembles are reproducible regardless of execution
@@ -310,8 +311,9 @@ def polar_bridge(
     which is free diffusion of variance t/tau_m conditioned on its end point.
     A sample time 0 holds theta_in; the last column is ``theta_end`` itself.
     Returns angles of shape (len(theta_end), n_times).  Draws come from
-    ``Philox(key=[seed, 1])``, independent of ``polar_ensemble``'s key
-    [seed, 0], so a final angle drawn there and its bridge never share draws.
+    ``Philox(key=[seed, 1])``, independent of key [seed, 0], under which
+    ``polar_ensemble`` and ``estimator.select_polar`` draw final angles, so a
+    final angle and its bridge never share draws.
     """
     t = _sample_times(sample_times)
     end = np.asarray(theta_end, dtype=float)

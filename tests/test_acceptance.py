@@ -35,6 +35,7 @@ from xzmeas.estimator import (
     SubEnsemble,
     correlate,
     covariance,
+    select,
     select_polar,
 )
 from xzmeas.fpe import KernelParams, cond_avg_fpe, transition_prob
@@ -160,7 +161,10 @@ def test_postselection_rates_match_kernel_integral(gate):
     for seed, t_total in ((19, 1.0), (23, 3.5), (29, 10.0)):
         times = np.array([t_total])
         crit = SelectionCriterion(THETA_IN, t_total, THETA_F, window)
-        rate = select_polar(crit, TAU, times, count, seed=seed).acceptance_rate
+        # forward sampling and select, not select_polar, whose accepted count
+        # is a binomial draw with the very probability it would be checked by
+        th = polar_ensemble(THETA_IN, TAU, times, count, seed=seed)
+        rate = select(SubEnsemble(times, polar_states(th), count, count), crit).acceptance_rate
         grid = np.linspace(THETA_F - window, THETA_F + window, 401)
         dens = transition_prob(grid, t_total, THETA_IN, 0.0, kp)
         expected = float(np.trapezoid(dens, grid))

@@ -328,6 +328,20 @@ def test_subens_avg_state_midpoint_mixedness():
     assert math.hypot(q.x, q.z) < 0.1
 
 
+@pytest.mark.parametrize("t_total", [0.5, 3.5])  # both sides of RESUM_THRESHOLD
+def test_subens_avg_state_on_array_equals_scalar_calls(t_total):
+    bc = BoundaryCondition(math.pi / 4, 1.0, 7 * math.pi / 8, t_total)
+    ts = np.linspace(0.0, t_total, 41)
+    q = subens_avg_state(ts, bc)
+    assert q.shape == (41, 3)
+    ref = np.array([subens_avg_state(float(t), bc).as_array() for t in ts])
+    assert np.array_equal(q[[0, -1]], ref[[0, -1]])  # the pinned boundary states
+    assert np.max(np.abs(q - ref)) <= 1e-15
+    assert subens_avg_state(ts.reshape(1, 41), bc).shape == (1, 41, 3)
+    with pytest.raises(DomainError, match=r"\[0, T\]"):
+        subens_avg_state(np.array([0.1, t_total + 0.1]), bc)
+
+
 def test_source_spec_validation():
     with pytest.raises(Exception):
         SourceSpec(points=((2, 1.0),))  # signs must be +-1

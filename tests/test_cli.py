@@ -152,6 +152,17 @@ def test_compare_nan_theta_f_exits_config(tmp_path, capsys):
     assert "angles must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", [0, -5, 2.5, True])
+@pytest.mark.parametrize("mode", ["compare", "simulate"])
+def test_count_must_be_positive_integer(tmp_path, capsys, mode, count):
+    # unchecked, 0 and -5 escaped as a ValueError traceback (or read as an
+    # empty post-selection), 2.5 ran as 2 and true as 1
+    make = compare_config if mode == "compare" else simulate_config
+    cfg = dict(make(tmp_path / "out"), count=count)
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_CONFIG
+    assert "count must be a positive integer" in capsys.readouterr().err
+
+
 def simulate_config(out, seed=3):
     return {
         "schema_version": 1,

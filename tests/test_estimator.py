@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import chi2, norm
 
 from xzmeas.core import DomainError
 from xzmeas.estimator import (
@@ -17,6 +19,7 @@ from xzmeas.estimator import (
     variance,
     write_correlator_csv,
 )
+from xzmeas.fpe import KernelParams, transition_prob
 from xzmeas.sde import polar_ensemble, polar_states
 
 
@@ -100,10 +103,10 @@ CRITERIA = [
 CRITERIA_IDS = ["window_with_winding", "euclidean", "no_theta_f"]
 
 
-@pytest.mark.parametrize("crit", CRITERIA, ids=CRITERIA_IDS)
+@pytest.mark.parametrize("crit", CRITERIA[2:], ids=CRITERIA_IDS[2:])
 def test_select_polar_equals_select_on_bloch_states(crit):
-    # the final angles are polar_ensemble's on the horizon alone, so the
-    # acceptance and the final states match select on those Bloch states
+    # without theta_f the final angles are polar_ensemble's on the horizon
+    # alone, so every member and its final state match select on those states
     idx = int(np.argmin(np.abs(TIMES - crit.t_total)))
     horizon = TIMES[idx:idx + 1]
     final = polar_ensemble(math.pi / 4, 1.0, horizon, 20_000, seed=9)
@@ -114,6 +117,104 @@ def test_select_polar_equals_select_on_bloch_states(crit):
     assert np.array_equal(sub.states[:, -1], ref.states[:, 0])
     assert np.all(sub.states[:, 0] == polar_states(np.array(math.pi / 4)))
     assert (sub.accepted_count, sub.total_count) == (ref.accepted_count, ref.total_count)
+
+
+# windows for the exact-law tests, one per proposal of the truncated-normal
+# sampler: uniform in a tail (winding, euclidean), exponential in a far tail
+# at T/tau = 0.05, the normal itself on a wide window around the mode
+WINDOWED = CRITERIA[:2] + [
+    SelectionCriterion(math.pi / 4, 0.05, math.pi / 4 + 0.9, 0.2),
+    SelectionCriterion(math.pi / 4, 1.0, math.pi / 4 + 0.5, 3.0),
+]
+WINDOWED_IDS = ["window_with_winding", "euclidean", "tail", "wide"]
+
+
+def half_width(crit):
+    if crit.euclidean:
+        return 2 * math.asin(min(crit.angular_window / 2, 1.0))
+    return crit.angular_window
+
+
+def window_probability(crit, tau_m=1.0):
+    """P(theta(T) within the window mod 2 pi) for theta(T) ~ N(theta_in, T/tau_m)."""
+    law = norm(crit.theta_in, math.sqrt(crit.t_total / tau_m))
+    w = half_width(crit)
+    centers = crit.theta_f + 2 * math.pi * np.arange(-60, 61)
+    lo, hi = centers - w, centers + w
+    right = lo > crit.theta_in  # above the mean, differences of upper tails
+    mass = np.where(right, law.sf(lo) - law.sf(hi), law.cdf(hi) - law.cdf(lo))
+    return float(mass.sum())
+
+
+@pytest.mark.parametrize("crit", WINDOWED, ids=WINDOWED_IDS)
+def test_select_polar_accepted_count_is_binomial(crit):
+    # 60 seeds against Binomial(count, p): the mean, and the spread through
+    # the dispersion statistic, which is chi-square with 60 degrees of freedom
+    count = 1_000_000 if crit.t_total < 0.1 else 20_000
+    p = window_probability(crit)
+    k = np.array([select_polar(crit, 1.0, [crit.t_total], count, seed=s).accepted_count
+                  for s in range(60)])
+    var = count * p * (1 - p)
+    assert abs(k.mean() - count * p) <= 4 * math.sqrt(var / len(k))
+    dispersion = float(np.sum((k - count * p) ** 2) / var)
+    assert 1e-4 < chi2.sf(dispersion, len(k)) < 1 - 1e-4
+
+
+@pytest.mark.parametrize(
+    "crit", WINDOWED + [SelectionCriterion(math.pi / 4, 3.5, 7 * math.pi / 8, math.pi)],
+    ids=WINDOWED_IDS + ["whole_circle"])
+def test_select_polar_final_angles_follow_kernel(crit):
+    # histogram of the final angle inside the window against the heat kernel
+    # of the Fokker-Planck backend, integrated over each bin
+    count = 50_000_000 if crit.t_total < 0.1 else 200_000
+    sub = select_polar(crit, 1.0, [crit.t_total], count, seed=21)
+    final = np.arctan2(sub.states[:, -1, 0], sub.states[:, -1, 2])
+    delta = np.mod(final - crit.theta_f + math.pi, 2 * math.pi) - math.pi
+    w = half_width(crit)
+    edges = np.linspace(-w, w, 21)
+    observed, _ = np.histogram(delta, edges)
+    assert observed.sum() == sub.accepted_count
+    grid = np.linspace(-w, w, 20 * 64 + 1)
+    dens = transition_prob(crit.theta_f + grid, crit.t_total, crit.theta_in, 0.0,
+                           KernelParams.from_tau(1.0))
+    mass = np.array([np.trapezoid(dens[64 * j:64 * j + 65], grid[64 * j:64 * j + 65])
+                     for j in range(20)])
+    expected = sub.accepted_count * mass / mass.sum()
+    assert expected.min() >= 5
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    assert chi2.sf(stat, len(expected) - 1) > 1e-3
+
+
+@pytest.mark.parametrize("crit", [
+    SelectionCriterion(math.pi / 4, 3.5, 7 * math.pi / 8, math.pi),
+    SelectionCriterion(math.pi / 4, 3.5, 7 * math.pi / 8, 2.0, euclidean=True),
+], ids=["angular", "euclidean"])
+def test_select_polar_window_of_whole_circle_accepts_all(crit):
+    for seed in range(5):
+        assert select_polar(crit, 1.0, TIMES, 10_000, seed=seed).accepted_count == 10_000
+
+
+def test_select_polar_memory_scales_with_accepted_members():
+    # a windowed criterion builds nothing of length count: at 1e7 members the
+    # peak traced memory stays below one boolean mask of that length
+    crit = SelectionCriterion(math.pi / 4, 3.5, 7 * math.pi / 8, 0.01)
+    times = np.array([0.0, 1.75, 3.5])
+    count = 10_000_000
+    tracemalloc.start()
+    try:
+        sub = select_polar(crit, 1.0, times, count, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sub.states.shape == (sub.accepted_count, len(times), 3)
+    assert sub.accepted_count < count // 100
+    assert peak < count
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_select_polar_rejects_count_below_one(count):
+    with pytest.raises(ValueError, match="count"):
+        select_polar(CRITERIA[0], 1.0, TIMES, count)
 
 
 @pytest.mark.parametrize("crit", CRITERIA, ids=CRITERIA_IDS)

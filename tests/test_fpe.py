@@ -132,6 +132,19 @@ def test_cond_avg_fpe_truncated_series_raises():
         cond_avg_fpe(src, BC, KernelParams.from_tau(BC.tau_m, n_max=1))
 
 
+def test_cond_avg_fpe_raises_where_its_mode_sum_cancels():
+    # at T/tau = 0.01 with theta_f - theta_in = 2.18 the plain Fourier-mode
+    # sum cancels to ~5e-15 against terms of total modulus 25; unchecked, the
+    # series returned 0.95+0.04j where both other routes give 0.363+0.930j
+    bc = BoundaryCondition(math.pi / 4, 1.0, math.pi / 4 + 2.18, 0.01)
+    src = [(-1, 0.002), (1, 0.0075)]
+    exact = cond_avg_phase(src, bc)
+    assert exact == pytest.approx(0.363 + 0.930j, abs=1e-3)
+    assert cond_avg_fpe_quadrature(src, bc, KP, grid=4096) == pytest.approx(exact, abs=1e-12)
+    with pytest.raises(SeriesError, match="cancelled"):
+        cond_avg_fpe(src, bc, KP)
+
+
 def test_cond_avg_fpe_matches_quadrature():
     src = SourceSpec(points=((1, 0.9), (-1, 2.1)))
     series = cond_avg_fpe(src, BC, KP)
