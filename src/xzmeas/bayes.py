@@ -3,15 +3,36 @@
 Replicates the experimental reconstruction pipeline: per step, the Gaussian
 Bayesian update for the z channel, the same update for the phi channel,
 then the exact environmental map (residual Rabi rotation composed with
-uniform depolarization in the xz plane).  One update formula serves any
-axis n = (sin phi, 0, cos phi): with m = n.q and a = r dt/tau,
+uniform depolarization in the xz plane).  Each is a linear completely
+positive map on homogeneous coordinates (w, x, y, z) of the Bloch vector
+q = (x, y, z)/w (Rouchon & Ralph, PRA 91, 012118 (2015)).  For an axis
+n = (sin phi, 0, cos phi), a readout r and a = r dt/tau, write
+q = m n + q_perp; scaled by sech a, the measurement map is
 
-    q' = E (q - m n)/(cosh a + m sinh a) + n (m cosh a + sinh a)/(cosh a + m sinh a),
+    w' = w + tanh(a) m,   m' = m + tanh(a) w,   q_perp' = E sech(a) q_perp,
 
-where the extra damping E = exp[-(Gamma - 1/(2 tau)) dt] of the components
-transverse to the axis vanishes for ideal measurements (Rouchon & Ralph,
-PRA 91, 012118 (2015)).  One fused replay kernel runs the whole batch on
-rows of Bloch coordinates; a single record is a batch of one.
+where E = exp[-(Gamma - 1/(2 tau)) dt] is the extra damping of the
+components transverse to the axis, 1 for ideal measurements.  Normalised,
+this is q' = [E (q - m n) + n (m cosh a + sinh a)]/(cosh a + m sinh a).  The
+one formula serves any axis angle: the kernel holds (w, m, t, y), with t the
+transverse xz component, in the first channel's frame, and a fixed 2x2 turn
+takes (m, t) on to the next channel's frame, the last one through the
+environment map.
+
+Every coefficient lies in [-1, 1], so a huge readout gives the axis
+eigenstate instead of overflowing.  The maps are completely positive, so
+|q| <= 1 holds by construction and nothing is projected: a vectorised check
+on each normalised block of steps raises ``ReconstructionError`` at rounding
+beyond ``POSITIVITY_TOL``, at a NaN, or where the record has probability
+zero (w' <= 0), naming the first such step.
+
+A record is thus a product of 4x4 maps, and one kernel replays a batch of m
+records as lanes.  A narrow batch (m well below n steps) is scanned over
+time: the n steps are cut into c = isqrt(n // m) chunks, the maps of each
+chunk are applied to the four unit columns to give its product, the products
+are chained at width m to give each chunk's start state, and then every
+chunk runs at once on c m lanes.  Any other batch is one chunk, the plain
+recursion.  A single record is a batch of one.
 """
 from __future__ import annotations
 
@@ -21,14 +42,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BlochState, ChannelConfig, QubitEnvironment, SimConfig, open_rewrite
-from .sde import _BLOCK, ReadoutRecord, Trajectory, _xz_entries
+from .sde import _BLOCK, ReadoutRecord, Trajectory
 
 #: positivity slack before a reconstruction error is raised
 POSITIVITY_TOL = 1e-10
 
+#: batch width at which an elementwise numpy call costs as much per lane as
+#: it costs to make (about 2000 on a 2-vCPU AMD EPYC VM with numpy 2.4); it
+#: sets where scanning over time stops paying
+_CALL_LANES = 2000
+
 
 class ReconstructionError(RuntimeError):
-    """Positivity violated beyond tolerance during a Bayesian update."""
+    """A Bayesian update gave no state: positivity violated beyond tolerance,
+    a NaN, or a readout of probability zero."""
 
 
 @dataclass(frozen=True)
@@ -58,56 +85,99 @@ class DensityMatrix2:
         return cls((1 + q.z) / 2, (1 - q.z) / 2, complex(q.x, -q.y) / 2)
 
 
-def _channel_constants(dt: float, channel: ChannelConfig) -> tuple:
-    """(sin phi, cos phi, E, dt / tau) of a channel, for ``_measure``.
+def _coefficients(r, dt: float, channel: ChannelConfig) -> tuple:
+    """(tanh a, E sech a) for readouts r of a channel, with a = r dt / tau,
+    C-ordered.
 
     E = exp[-(Gamma - 1/(2 tau)) dt] is the extra damping of the components
-    transverse to the axis.
+    transverse to the axis.  Population reweighting by
+    exp[-(r -+ 1)^2 dt / 2 tau] along the axis reduces to these; the
+    (4 pi tau / dt)^(-1/2) operator prefactor and the cosh a scale cancel.
+    Past |a| ~ 710 cosh overflows to inf and E sech a is 0.
     """
-    s, _, c = channel.axis
     extra = math.exp(-(channel.gamma - 1.0 / (2 * channel.tau)) * dt)
-    return np.array(s), np.array(c), np.array(extra), dt / channel.tau
+    a = np.multiply(r, dt / channel.tau, order="C")
+    th = np.tanh(a)
+    with np.errstate(over="ignore"):
+        np.cosh(a, out=a)
+    return th, np.divide(extra, a, out=a)
 
 
-def _update_coefficients(r, const: tuple) -> tuple:
-    """(cosh a - E, sinh a, cosh a) for readouts r, with a = r dt / tau.
+def _frame(channel: ChannelConfig) -> np.ndarray:
+    """T taking (x, z) to (m, t), the components along the channel's axis and
+    across it in the xz plane; T is its own inverse."""
+    s, _, c = channel.axis
+    return np.array([[s, c], [c, -s]])
 
-    Population reweighting by exp[-(r -+ 1)^2 dt / 2 tau] along the axis
-    reduces to these; the (4 pi tau / dt)^(-1/2) operator prefactor cancels.
+
+def _entries(mat: np.ndarray) -> tuple:
+    """Entries of a 2x2 map as 0-d arrays, cheap in elementwise products."""
+    return tuple(np.array(v) for v in mat.ravel())
+
+
+#: ``out`` arguments that make numpy allocate the result
+_FRESH = (None,) * 4
+
+
+def _scan(q, maps, rows: np.ndarray) -> np.ndarray:
+    """Apply steps to unnormalised states q = (w, m, t, y) and return the last.
+
+    A step applies each map of ``maps`` = [(tanh a, E sech a, turn), ...] in
+    turn, the first two indexed by step.  In the frame of its own axis a
+    channel's map is
+
+        w' = w + tanh(a) m,   m' = m + tanh(a) w,   (t, y)' = E sech(a) (t, y),
+
+    and the entries of ``turn`` then take (m, t) to the frame of the next map.
+    ``rows[j]`` (4, *lanes) receives the state after step j.
     """
-    a = np.asarray(r) * const[3]
-    ca = np.cosh(a)
-    return ca - const[2], np.sinh(a), ca
+    w, m, t, y = q
+    last = len(maps) - 1
+    for j, row in enumerate(rows):
+        for k, (th, f, (r00, r01, r10, r11)) in enumerate(maps):
+            # the last map of a step writes straight into the step's row
+            out = row if k == last else _FRESH
+            a, e = th[j], f[j]
+            w, m = np.add(w, a * m, out[0]), m + a * w
+            t, y = e * t, np.multiply(e, y, out[3])
+            m, t = np.add(r00 * m, r01 * t, out[1]), np.add(r10 * m, r11 * t, out[2])
+    return rows[-1]
 
 
-def _measure(x, y, z, const, cme, sa, ca):
-    """One channel's update, as [E q + n (m (cosh a - E) + sinh a)] / (cosh a + m sinh a)."""
-    s, c, extra, _ = const
-    m = s * x + c * z
-    inv = 1.0 / (ca + m * sa)
-    f = extra * inv
-    g = (m * cme + sa) * inv
-    return f * x + s * g, f * y, f * z + c * g
+def _normalise(rows: np.ndarray, frame: np.ndarray, out: np.ndarray, steps):
+    """Write the Bloch vectors (x, y, z) of unnormalised states ``rows``
+    (b, 4, ...), held as (w, m, t, y) in ``frame``, into ``out`` (b, 3, ...).
+    ``rows`` keeps w and is left holding (m, t, y)/w.
+
+    Returns None, or (step, reason) for the earliest of ``steps`` (broadcast
+    to (b, ...)) whose w is not in (0, inf) or whose |q|^2 - 1 exceeds
+    POSITIVITY_TOL or is NaN.
+    """
+    w, unit = rows[:, 0], rows[:, 1:]
+    unit /= rows[:, :1]
+    n2 = np.einsum("bi...,bi...->b...", unit, unit)
+    t00, t01, t10, t11 = frame.ravel()
+    np.add(t00 * unit[:, 0], t01 * unit[:, 1], out=out[:, 0])
+    out[:, 1] = unit[:, 2]
+    np.add(t10 * unit[:, 0], t11 * unit[:, 1], out=out[:, 2])
+    # negated tests so that a NaN fails
+    bad = ~((w > 0) & (w < np.inf) & (n2 <= 1.0 + POSITIVITY_TOL))
+    if not bad.any():
+        return None
+    steps = np.broadcast_to(steps, bad.shape)
+    at = np.unravel_index(np.argmin(np.where(bad, steps, np.iinfo(steps.dtype).max)), bad.shape)
+    step = int(steps[at])
+    if not 0 < w[at] < np.inf:
+        return step, f"state not normalisable (w = {float(w[at]):.3g}) at step {step}"
+    return step, f"positivity violated by {float(n2[at]) - 1.0:.3g} at step {step}"
 
 
-def _project_positivity(x, y, z, where: str):
-    """Rescale (x, y) onto the sphere for rounding-level violations."""
-    n2 = x * x + y * y + z * z
-    worst = n2.max()
-    # negated tests so that a NaN norm raises
-    if not worst <= 1.0:
-        if not worst - 1.0 <= POSITIVITY_TOL:
-            raise ReconstructionError(
-                f"positivity violated by {float(worst) - 1.0:.3g} at {where}"
-            )
-        trans = x * x + y * y
-        scale = np.where(
-            (n2 > 1.0) & (trans > 0),
-            np.sqrt(np.maximum(1.0 - z * z, 0.0) / np.where(trans > 0, trans, 1.0)),
-            1.0,
-        )
-        x, y = x * scale, y * scale
-    return x, y, z
+def _start(q: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Unnormalised states (w, m, t, y) = (1, T (x, z), y) of Bloch vectors
+    q (3, ...)."""
+    (t00, t01), (t10, t11) = frame
+    x, y, z = q
+    return np.stack([np.ones_like(x), t00 * x + t01 * z, t10 * x + t11 * z, y])
 
 
 def bayes_update(
@@ -115,11 +185,15 @@ def bayes_update(
 ) -> DensityMatrix2:
     """Quantum Bayesian update of ``rho`` for one readout of one channel at any
     axis angle."""
-    const = _channel_constants(dt, channel)
-    x, y, z = rho.to_bloch().as_array()[:, None]
-    x, y, z = _measure(x, y, z, const, *_update_coefficients(readout, const))
-    x, y, z = _project_positivity(x, y, z, "bayes_update")
-    return DensityMatrix2.from_bloch(BlochState(x.item(), y.item(), z.item()))
+    frame = _frame(channel)
+    th, f = _coefficients(np.array([readout]), dt, channel)
+    rows, out = np.empty((1, 4, 1)), np.empty((1, 3, 1))
+    _scan(_start(rho.to_bloch().as_array()[:, None], frame), [(th, f, _entries(np.eye(2)))], rows)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        failed = _normalise(rows, frame, out, np.zeros(1, dtype=np.int64))
+    if failed:
+        raise ReconstructionError(failed[1])
+    return DensityMatrix2.from_bloch(BlochState(*map(float, out[0, :, 0])))
 
 
 def _env_matrix(dt: float, env: QubitEnvironment) -> np.ndarray:
@@ -158,29 +232,95 @@ def reconstruct(
     return Trajectory(times=times, states=states[:, 0, :])
 
 
+def _by_chunk(r: np.ndarray, chunks: int, span: int) -> np.ndarray:
+    """Readouts (n, m) as (span, chunks, m), step k of chunk i at [k, i];
+    readout 0 past the end of the record."""
+    pad = chunks * span - len(r)
+    if pad:
+        r = np.concatenate([r, np.zeros((pad, r.shape[1]))])
+    return r.reshape(chunks, span, r.shape[1]).transpose(1, 0, 2)
+
+
+def _block_maps(records: list, cfg: SimConfig, turns: list, k0: int, b: int) -> list:
+    """The maps of steps k0..k0+b for ``_scan``, from readouts per channel."""
+    return [
+        (*_coefficients(r[k0:k0 + b], cfg.dt, ch), turn)
+        for r, ch, turn in zip(records, cfg.channels, turns)
+    ]
+
+
+def _chunk_products(records: list, cfg: SimConfig, turns: list) -> np.ndarray:
+    """Products of the step maps of every chunk but the last, from readouts
+    (span, chunks, m) per channel.
+
+    Returns (4, chunks - 1, 4, m), indexed [component, chunk, column, lane];
+    each product is rescaled after every block to largest entry 1, which
+    leaves the states it maps to unchanged.
+    """
+    records = [r[:, :-1, None] for r in records]
+    span, c1, _, m = records[0].shape
+    q = np.broadcast_to(np.eye(4)[:, None, :, None], (4, c1, 4, m))
+    rows = np.empty((_BLOCK, 4, c1, 4, m))
+    for k0 in range(0, span, _BLOCK):
+        b = min(_BLOCK, span - k0)
+        q = _scan(q, _block_maps(records, cfg, turns, k0, b), rows[:b])
+        q = q / np.abs(q).max(axis=(0, 2), keepdims=True)
+    return q
+
+
 def reconstruct_batch(
     r_z: np.ndarray, r_x: np.ndarray, q_in: np.ndarray, cfg: SimConfig
 ) -> np.ndarray:
-    """Fused replay of a batch.  r_z, r_x: (n_steps, m) readouts of the z and
-    phi channels.  Returns states of shape (n_steps + 1, m, 3)."""
+    """Replay of a batch.  r_z, r_x: (n_steps, m) readouts of the z and phi
+    channels.  Returns states of shape (n_steps + 1, m, 3).
+
+    Raises ReconstructionError naming the first step whose state is not a
+    state (see ``_normalise``).
+    """
     n, m = r_z.shape
-    zc, pc = (_channel_constants(cfg.dt, ch) for ch in cfg.channels)
-    e00, e02, e11, e20, e22 = _xz_entries(_env_matrix(cfg.dt, cfg.environment))
-    states = np.empty((n + 1, m, 3))
-    rows = states.transpose(0, 2, 1)
-    rows[0] = np.asarray(q_in, dtype=float)[:, None]
-    x, y, z = rows[0].copy()
-    for k0 in range(0, n, _BLOCK):
-        cz, sz, hz = _update_coefficients(r_z[k0:k0 + _BLOCK], zc)
-        cp, sp, hp = _update_coefficients(r_x[k0:k0 + _BLOCK], pc)
-        for j in range(len(cz)):
-            x, y, z = _measure(x, y, z, zc, cz[j], sz[j], hz[j])
-            x, y, z = _measure(x, y, z, pc, cp[j], sp[j], hp[j])
-            x, y, z = _project_positivity(x, y, z, f"step {k0 + j}")
-            x, y, z = e00 * x + e02 * z, e11 * y, e20 * x + e22 * z
-            out = rows[k0 + j + 1]
-            out[0], out[1], out[2] = x, y, z
-    return states
+    # c chunks make c / 2 times fewer numpy calls, but each lane-step then
+    # costs 5 lanes of arithmetic (the product pass carries four columns)
+    # instead of 1; that pays while 4 m (c - 1) < _CALL_LANES (c - 2)
+    chunks = math.isqrt(n // max(m, 1))
+    if chunks < 3 or 4 * m * (chunks - 1) >= _CALL_LANES * (chunks - 2):
+        chunks = 1
+    span = -(-n // chunks)
+    frames = [_frame(ch) for ch in cfg.channels]
+    # each turn takes (m, t) to the next channel's frame, the last one through
+    # the environment map (its xz block) back to the first channel's frame
+    env = _env_matrix(cfg.dt, cfg.environment)[::2, ::2]
+    turns = [_entries(b @ a) for a, b in zip(frames, [*frames[1:], frames[0] @ env])]
+    records = [_by_chunk(np.asarray(r, dtype=float), chunks, span) for r in (r_z, r_x)]
+    q_in = np.asarray(q_in, dtype=float)
+    start = np.empty((4, chunks, m))
+    start[:, 0] = _start(q_in[:, None], frames[0])
+    states = np.empty((chunks * span + 1, m, 3))
+    states[0] = q_in
+    # steps[k, :, i] holds the states after step k of chunk i
+    steps = states[1:].reshape(chunks, span, m, 3).transpose(1, 3, 0, 2)
+    rows = np.empty((_BLOCK, 4, chunks, m))
+    offsets = np.arange(_BLOCK)[:, None, None] + span * np.arange(chunks)[:, None]
+    first = None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if chunks > 1:
+            prods = _chunk_products(records, cfg, turns)
+            for i in range(chunks - 1):
+                v = (prods[:, i] * start[None, :, i]).sum(axis=1)
+                start[:, i + 1] = v / v[0]
+        q = start
+        for k0 in range(0, span, _BLOCK):
+            b = min(_BLOCK, span - k0)
+            _scan(q, _block_maps(records, cfg, turns, k0, b), rows[:b])
+            failed = _normalise(rows[:b], frames[0], steps[k0:k0 + b], k0 + offsets[:b])
+            if failed and (first is None or failed[0] < first[0]):
+                first = failed
+            if first and first[0] < k0 + b:
+                # later blocks hold steps from k0 + b on only
+                break
+            q = np.concatenate([np.ones((1, chunks, m)), rows[b - 1, 1:]])
+    if first:
+        raise ReconstructionError(first[1])
+    return states[:n + 1]
 
 
 # ---------------------------------------------------------------------------

@@ -263,3 +263,95 @@ def test_replay_rejects_nan_readout():
     r[3, 1] = np.nan
     with pytest.raises(ReconstructionError, match="step 3"):
         reconstruct_batch(r, r, cfg.initial_state.as_array(), cfg)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+def test_huge_readouts_give_axis_eigenstates(width):
+    # each map is scaled by sech a, so a readout far past cosh's overflow
+    # projects onto the axis eigenstate without a warning
+    cfg = ideal_xz_config(t_final=0.1)
+    q_in = cfg.initial_state.as_array()
+    r_z, r_x = np.zeros((cfg.n_steps, width)), np.zeros((cfg.n_steps, width))
+    r_z[5], r_x[8] = 1e6, -1e300
+    states = reconstruct_batch(r_z, r_x, q_in, cfg)
+    z_axis, x_axis = (ch.axis for ch in cfg.channels)
+    assert np.array_equal(states[6:9], np.broadcast_to(z_axis, (3, width, 3)))
+    assert np.array_equal(states[9:], np.broadcast_to(-x_axis, (2, width, 3)))
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_replay_rejects_record_of_probability_zero(width):
+    # the z eigenstate +1 cannot then read -1e6: w' = 0 at that step.  At
+    # width 1 the 10 steps run as 3 chunks and step 6 lies in the second
+    cfg = ideal_xz_config(t_final=0.1)
+    r_z, r_x = np.zeros((cfg.n_steps, width)), np.zeros((cfg.n_steps, width))
+    r_z[5], r_z[6] = 1e6, -1e6
+    with pytest.raises(ReconstructionError, match=r"\(w = 0\) at step 6"):
+        reconstruct_batch(r_z, r_x, cfg.initial_state.as_array(), cfg)
+
+
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def kraus_chain(cfg, r_z, r_x):
+    """Bloch states (n + 1, m, 3) of 2x2 density matrices driven by readouts
+    (n, m): per channel rho -> K rho K / tr with K = exp(a sigma_n / 2), then
+    the phase flip about n that leaves E of the transverse components; then
+    the rotation exp(-i Omega dt sigma_y / 2) and the xz phase flip about y."""
+    n, m = r_z.shape
+    rho = 0.5 * (np.eye(2) + np.tensordot(cfg.initial_state.as_array(), PAULI, 1))
+    rho = np.repeat(rho[None], m, axis=0)
+    env = cfg.environment
+    half = env.rabi_detuning * cfg.dt / 2
+    u = math.cos(half) * np.eye(2) - 1j * math.sin(half) * PAULI[1]
+    damp = math.exp(-env.depolarization_rate * cfg.dt)
+    channels = []
+    for ch in cfg.channels:
+        sig = math.sin(ch.axis_angle) * PAULI[0] + math.cos(ch.axis_angle) * PAULI[2]
+        extra = math.exp(-(ch.gamma - 1 / (2 * ch.tau)) * cfg.dt)
+        channels.append((sig, extra, cfg.dt / ch.tau))
+    out = np.empty((n + 1, m, 3))
+    for k in range(n + 1):
+        out[k] = np.einsum("mij,cji->mc", rho, PAULI).real
+        if k == n:
+            break
+        for (sig, extra, rate), r in zip(channels, (r_z[k], r_x[k])):
+            a = (r * rate / 2)[:, None, None]
+            kraus = np.cosh(a) * np.eye(2) + np.sinh(a) * sig
+            rho = kraus @ rho @ kraus
+            rho = rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
+            rho = (1 + extra) / 2 * rho + (1 - extra) / 2 * (sig @ rho @ sig)
+        rho = u @ rho @ u.conj().T
+        rho = (1 + damp) / 2 * rho + (1 - damp) / 2 * (PAULI[1] @ rho @ PAULI[1])
+    return out
+
+
+@pytest.mark.parametrize("eta, phi", [(1.0, math.pi / 2), (0.5, math.pi / 3)])
+def test_replay_matches_density_matrix_kraus_chain(eta, phi):
+    # 20k steps, so a narrow replay runs as 141 (width 1) or 17 (width 64)
+    # chunks, checked against density matrices stepped one at a time
+    cfg = SimConfig(
+        channels=(ChannelConfig(0.0, 0.5, eta), ChannelConfig(phi, 0.5, eta)),
+        dt=0.005,
+        t_final=100.0,
+        initial_state=polar_to_bloch(0.9),
+        environment=QubitEnvironment(rabi_detuning=0.3, depolarization_rate=0.05),
+        rng_seed=12,
+    )
+    ens = sde.run_ensemble(cfg, 64)
+    r_z, r_x = ens.r_z.T, ens.r_phi.T
+    q_in = cfg.initial_state.as_array()
+    ref = kraus_chain(cfg, r_z, r_x)
+    wide = reconstruct_batch(r_z, r_x, q_in, cfg)
+    one = reconstruct_batch(r_z[:, :1], r_x[:, :1], q_in, cfg)
+    assert np.abs(wide - ref).max() <= 1e-12
+    assert np.abs(one - ref[:, :1]).max() <= 1e-12
+    lane = reconstruct_batch(r_z[:, 37:38], r_x[:, 37:38], q_in, cfg)
+    assert np.abs(lane - wide[:, 37:38]).max() <= 1e-13
+
+
+def test_replay_of_empty_record_is_initial_state():
+    cfg = ideal_xz_config(t_final=0.1)
+    q_in = cfg.initial_state.as_array()
+    states = reconstruct_batch(np.zeros((0, 3)), np.zeros((0, 3)), q_in, cfg)
+    assert np.array_equal(states, np.broadcast_to(q_in, (1, 3, 3)))
