@@ -23,8 +23,11 @@ Every coefficient lies in [-1, 1], so a huge readout gives the axis
 eigenstate instead of overflowing.  The maps are completely positive, so
 |q| <= 1 holds by construction and nothing is projected: a vectorised check
 on each normalised block of steps raises ``ReconstructionError`` at rounding
-beyond ``POSITIVITY_TOL``, at a NaN, or where the record has probability
-zero (w' <= 0), naming the first such step.
+beyond ``POSITIVITY_TOL``, at a NaN, or where the readouts saturate the
+update (w' <= 0), naming the first such step.  Past |a| ~ 19 tanh a rounds
+to +-1 and the state to the axis eigenstate; a second saturated readout
+against it then leaves w' = 0.  The exact posterior there is a state, but
+one closer to the eigenstate than a float can hold.
 
 A record is thus a product of 4x4 maps, and one kernel replays a batch of m
 records as lanes.  A narrow batch (m well below n steps) is scanned over
@@ -47,15 +50,10 @@ from .sde import _BLOCK, ReadoutRecord, Trajectory
 #: positivity slack before a reconstruction error is raised
 POSITIVITY_TOL = 1e-10
 
-#: batch width at which an elementwise numpy call costs as much per lane as
-#: it costs to make (about 2000 on a 2-vCPU AMD EPYC VM with numpy 2.4); it
-#: sets where scanning over time stops paying
-_CALL_LANES = 2000
-
 
 class ReconstructionError(RuntimeError):
     """A Bayesian update gave no state: positivity violated beyond tolerance,
-    a NaN, or a readout of probability zero."""
+    a NaN, or readouts that saturate the update."""
 
 
 @dataclass(frozen=True)
@@ -168,7 +166,10 @@ def _normalise(rows: np.ndarray, frame: np.ndarray, out: np.ndarray, steps):
     at = np.unravel_index(np.argmin(np.where(bad, steps, np.iinfo(steps.dtype).max)), bad.shape)
     step = int(steps[at])
     if not 0 < w[at] < np.inf:
-        return step, f"state not normalisable (w = {float(w[at]):.3g}) at step {step}"
+        why = f"state not normalisable (w = {float(w[at]):.3g}) at step {step}"
+        if w[at] <= 0:
+            why += ": readouts with |r dt / tau| past about 19 saturate the update"
+        return step, why
     return step, f"positivity violated by {float(n2[at]) - 1.0:.3g} at step {step}"
 
 
@@ -278,11 +279,8 @@ def reconstruct_batch(
     state (see ``_normalise``).
     """
     n, m = r_z.shape
-    # c chunks make c / 2 times fewer numpy calls, but each lane-step then
-    # costs 5 lanes of arithmetic (the product pass carries four columns)
-    # instead of 1; that pays while 4 m (c - 1) < _CALL_LANES (c - 2)
     chunks = math.isqrt(n // max(m, 1))
-    if chunks < 3 or 4 * m * (chunks - 1) >= _CALL_LANES * (chunks - 2):
+    if chunks < 3:
         chunks = 1
     span = -(-n // chunks)
     frames = [_frame(ch) for ch in cfg.channels]

@@ -179,43 +179,13 @@ def _propagate(q, xi, cfg: SimConfig, states, readouts=None) -> None:
 # trajectory and ensemble generation
 # ---------------------------------------------------------------------------
 
-def _rekey(bitgen: np.random.Philox, seed: int, stream_id: int) -> np.random.Philox:
-    """Reset ``bitgen`` to the start of stream (seed, stream_id): key
-    [seed, stream_id] and counter 0, the state of
-    ``Philox(key=[seed, stream_id])``, with no new generator built."""
-    bitgen.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": np.zeros(4, np.uint64),
-            "key": np.asarray([seed, stream_id]).astype(np.uint64),
-        },
-        "buffer": np.zeros(4, np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return bitgen
-
-
 def noise_stream(seed: int, stream_id: int, n_steps: int) -> np.ndarray:
     """Standard-normal draws for one trajectory, shape (n_steps, 2).
 
     Column 0 feeds the z channel, column 1 the phi channel.
     """
-    gen = np.random.Generator(_rekey(np.random.Philox(0), seed, stream_id))
+    gen = np.random.Generator(np.random.Philox(key=[seed, stream_id]))
     return gen.standard_normal((n_steps, 2))
-
-
-def _noise_chunk(seed: int, first: int, count: int, n_steps: int) -> np.ndarray:
-    """Draws (n_steps, 2, count) whose column j is
-    ``noise_stream(seed, first + j, n_steps)``, from one re-keyed generator."""
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
-    xi = np.empty((n_steps, 2, count))
-    for j in range(count):
-        _rekey(bitgen, seed, first + j)
-        xi[:, :, j] = gen.standard_normal((n_steps, 2))
-    return xi
 
 
 def simulate_trajectory(cfg: SimConfig, stream_id: int = 0):
@@ -254,7 +224,9 @@ def run_ensemble(cfg: SimConfig, count: int, keep_readouts: bool = True,
 
     def run_chunk(lo: int) -> None:
         hi = min(lo + _CHUNK, count)
-        xi = _noise_chunk(cfg.rng_seed, base + lo, hi - lo, n)
+        xi = np.empty((n, 2, hi - lo))
+        for j in range(hi - lo):
+            xi[:, :, j] = noise_stream(cfg.rng_seed, base + lo + j, n)
         out = None if readouts is None else readouts[:, lo:hi].transpose(2, 0, 1)
         try:
             _propagate(np.repeat(q0, hi - lo, axis=1), xi, cfg,

@@ -280,13 +280,15 @@ def test_huge_readouts_give_axis_eigenstates(width):
 
 
 @pytest.mark.parametrize("width", [1, 2])
-def test_replay_rejects_record_of_probability_zero(width):
-    # the z eigenstate +1 cannot then read -1e6: w' = 0 at that step.  At
-    # width 1 the 10 steps run as 3 chunks and step 6 lies in the second
+def test_replay_rejects_saturated_readouts(width):
+    # tanh(1e6 dt / tau) rounds to 1, so +1e6 leaves the z eigenstate +1
+    # exactly, and -1e6 (tanh -1) then gives w' = 0 at step 6, although the
+    # exact posterior is a state.  At width 1 the 10 steps run as 3 chunks
+    # and step 6 lies in the second
     cfg = ideal_xz_config(t_final=0.1)
     r_z, r_x = np.zeros((cfg.n_steps, width)), np.zeros((cfg.n_steps, width))
     r_z[5], r_z[6] = 1e6, -1e6
-    with pytest.raises(ReconstructionError, match=r"\(w = 0\) at step 6"):
+    with pytest.raises(ReconstructionError, match=r"\(w = 0\) at step 6: .* saturate"):
         reconstruct_batch(r_z, r_x, cfg.initial_state.as_array(), cfg)
 
 

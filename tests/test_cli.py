@@ -290,7 +290,8 @@ def test_mode_reconstruct_rejects_bad_readout_file(tmp_path, row, capsys):
 def test_mode_reconstruct_huge_readout(tmp_path, capsys):
     # z readout 1e6 at step 10 (file line 13) projects onto z = +1, which an
     # x readout of 0 at unit efficiency leaves alone; a -1e6 at step 11 then
-    # has probability zero, which is a numerical error, not a row of NaN
+    # saturates the update against that state, a numerical error, not a row
+    # of NaN
     out = tmp_path / "out"
     rec_path = tmp_path / "readouts.txt"
     cfgp = write_config(tmp_path, reconstruct_config(out, rec_path))
@@ -303,7 +304,7 @@ def test_mode_reconstruct_huge_readout(tmp_path, capsys):
     lines[13] = lines[13].split(",")[0] + ",-1e6,0"
     rec_path.write_text("\n".join(lines) + "\n")
     assert cli.run(cfgp) == cli.EXIT_NUMERICAL
-    assert "at step 11" in capsys.readouterr().err
+    assert "at step 11: readouts" in capsys.readouterr().err
 
 
 def test_rerun_over_longer_outputs_matches_fresh_run(tmp_path):

@@ -125,7 +125,7 @@ def test_renormalize_rejects_blowups(monkeypatch):
     with pytest.raises(IntegratorError, match="step 7"):
         kernel_run(cfg, cfg.initial_state.as_array()[:, None], xi)
     # through run_ensemble the error also names the chunk's stream range
-    monkeypatch.setattr(sde, "_noise_chunk", lambda seed, first, count, n: np.repeat(xi, count, axis=2))
+    monkeypatch.setattr(sde, "noise_stream", lambda seed, sid, n: xi[:, :, 0])
     with pytest.raises(IntegratorError, match=r"step 7 \(streams 3\.\.5\)"):
         run_ensemble(cfg, 3, stream_offset=3)
 
@@ -176,17 +176,6 @@ def test_noise_stream_deterministic_and_independent():
     assert a.shape == (100, 2)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-
-
-def test_chunk_noise_matches_a_generator_per_stream():
-    # one re-keyed generator per chunk reproduces a fresh Philox(key=[seed, id])
-    # per stream, with negative and 64-bit keys wrapped as Philox wraps them
-    for seed, first in ((5, 0), (-1, 2**63 - 2), (2**63, 7)):
-        xi = sde._noise_chunk(seed, first, 3, 50)
-        for j in range(3):
-            gen = np.random.Generator(np.random.Philox(key=[seed, first + j]))
-            assert np.array_equal(xi[:, :, j], gen.standard_normal((50, 2)))
-            assert np.array_equal(xi[:, :, j], noise_stream(seed, first + j, 50))
 
 
 def _run_with(monkeypatch, cfg, count, chunk, cpus, **kw):
