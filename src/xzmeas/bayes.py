@@ -335,8 +335,8 @@ def write_readout_records(path, record: ReadoutRecord, cfg: SimConfig) -> None:
             )
         )
         fh.write("t,r_z,r_x\n")
-        for t, rz, rx in zip(record.times, record.r_z, record.r_phi):
-            fh.write(f"{float(t)!r},{float(rz)!r},{float(rx)!r}\n")
+        rows = zip(record.times.tolist(), record.r_z.tolist(), record.r_phi.tolist())
+        fh.writelines(f"{t!r},{rz!r},{rx!r}\n" for t, rz, rx in rows)
 
 
 def _finite(text: str, where: str) -> float:

@@ -84,6 +84,14 @@ def _count(cfg: dict) -> int:
     return int(count)
 
 
+def _seed(value, name: str) -> int:
+    """A seed: an integer in [0, 2**64), the range of a Philox key word;
+    never a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < 2**64:
+        raise ConfigError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return value
+
+
 def _grid(spec) -> np.ndarray:
     if isinstance(spec, dict):
         try:
@@ -93,7 +101,9 @@ def _grid(spec) -> np.ndarray:
     return np.asarray(spec, dtype=float)
 
 
-def _sim_config(spec: dict, seed_override=None) -> SimConfig:
+def _sim_config(spec: dict, seed: int) -> SimConfig:
+    """The ``sim`` block under the campaign seed; a ``rng_seed`` in it is
+    checked like any seed, but the campaign seed is the one that runs."""
     try:
         channels = tuple(ChannelConfig(**c) for c in _require(spec, "channels"))
         env = QubitEnvironment(**spec.get("environment", {}))
@@ -101,7 +111,7 @@ def _sim_config(spec: dict, seed_override=None) -> SimConfig:
             initial = polar_to_bloch(spec["initial_theta"])
         else:
             initial = BlochState(*spec.get("initial_state", (0.0, 0.0, 1.0)))
-        seed = seed_override if seed_override is not None else spec.get("rng_seed", 0)
+        _seed(spec.get("rng_seed", 0), "sim.rng_seed")
         return SimConfig(
             channels=channels,
             dt=_require(spec, "dt"),
@@ -266,7 +276,7 @@ def _mode_compare(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
 
 
 def _mode_simulate(cfg: dict, out: Path, seed: int) -> list[str]:
-    sim = _sim_config(_require(cfg, "sim"), seed_override=seed)
+    sim = _sim_config(_require(cfg, "sim"), seed)
     save = bool(cfg.get("save_ensemble", False))
     ens = run_ensemble(sim, _count(cfg), keep_readouts=save)
     outputs = []
@@ -308,7 +318,7 @@ def _mode_reconstruct(cfg: dict, out: Path, seed: int) -> list[str]:
         record, _params = read_readout_records(path)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"readout file: {exc}") from None
-    sim = _sim_config(_require(cfg, "sim"), seed_override=seed)
+    sim = _sim_config(_require(cfg, "sim"), seed)
     q_in = (
         polar_to_bloch(cfg["initial_theta"])
         if "initial_theta" in cfg
@@ -318,8 +328,8 @@ def _mode_reconstruct(cfg: dict, out: Path, seed: int) -> list[str]:
     path = out / "reconstructed_trajectory.csv"
     with open_rewrite(path) as fh:
         fh.write("t,x,y,z\n")
-        for t, (x, y, z) in zip(traj.times, traj.states):
-            fh.write(f"{float(t)!r},{float(x)!r},{float(y)!r},{float(z)!r}\n")
+        rows = zip(traj.times.tolist(), (q.tolist() for q in traj.states))
+        fh.writelines(f"{t!r},{x!r},{y!r},{z!r}\n" for t, (x, y, z) in rows)
     return [path.name]
 
 
@@ -344,9 +354,9 @@ def run(config_path, seed=None, output=None) -> int:
                 f"schema_version must be {SCHEMA_VERSION}, got {cfg.get('schema_version')!r}"
             )
         mode = _require(cfg, "mode")
+        effective_seed = _seed(seed if seed is not None else cfg.get("seed", 0), "seed")
         out = Path(output or cfg.get("output_dir", "."))
         out.mkdir(parents=True, exist_ok=True)
-        effective_seed = seed if seed is not None else cfg.get("seed", 0)
         gate_ok = True
         if mode == "analytic":
             outputs = _mode_analytic(cfg, out)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, open_rewrite
-from .sde import polar_bridge, polar_ensemble, polar_states
+from .sde import _philox, polar_bridge, polar_ensemble, polar_states
 
 _COORD = {"x": 0, "y": 1, "z": 2}
 _SQRT2 = math.sqrt(2.0)
@@ -230,7 +230,7 @@ def select_polar(crit: SelectionCriterion, tau_m: float, times, count: int,
     else:
         if not horizon[0] > 0:
             raise DomainError("post-selection needs a horizon after t = 0")
-        gen = np.random.Generator(np.random.Philox(key=[seed, 0]))
+        gen = _philox(seed, 0)
         final = _window_finals(crit, math.sqrt(horizon[0] / tau_m), count, gen)
     thetas = polar_bridge(crit.theta_in, tau_m, times[: idx + 1], final, seed)
     return SubEnsemble(

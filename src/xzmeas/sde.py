@@ -20,8 +20,12 @@ between a given start and end angle.  A post-selection
 from the Gaussian law of the final angle and fills in their paths alone.
 
 Random numbers: every trajectory owns a counter-based Philox stream keyed by
-(seed, stream_id), so ensembles are reproducible regardless of execution
-order, chunking or thread count.
+(seed, stream_id), so any thread can draw any stream (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11).  Each thread keeps one Philox and
+re-keys it per stream by assigning its state, rather than building a generator
+per stream; the draws equal those of a new Philox under that key.  An
+ensemble fills each chunk's streams on every usable CPU, and is reproducible
+regardless of execution order, chunking or CPU count.
 """
 from __future__ import annotations
 
@@ -29,6 +33,7 @@ import io
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,12 +184,39 @@ def _propagate(q, xi, cfg: SimConfig, states, readouts=None) -> None:
 # trajectory and ensemble generation
 # ---------------------------------------------------------------------------
 
+def _philox(seed: int, word: int) -> np.random.Generator:
+    """A generator under Philox key [seed, word], both in [0, 2**64).
+
+    The key is built as uint64 words: numpy reads a list that mixes a word
+    >= 2**63 with a smaller one as float64, which rounds distinct seeds onto
+    one key (2**64 - 1 onto 0).
+    """
+    return np.random.Generator(np.random.Philox(key=np.array([seed, word], np.uint64)))
+
+
+#: one Philox-backed Generator per thread, re-keyed for every stream
+_local = threading.local()
+
+
 def noise_stream(seed: int, stream_id: int, n_steps: int) -> np.ndarray:
     """Standard-normal draws for one trajectory, shape (n_steps, 2).
 
-    Column 0 feeds the z channel, column 1 the phi channel.
+    Column 0 feeds the z channel, column 1 the phi channel.  The draws are
+    those of ``_philox(seed, stream_id)``: the calling thread's generator is
+    set to that key at counter 0 with an empty buffer.
     """
-    gen = np.random.Generator(np.random.Philox(key=[seed, stream_id]))
+    gen = getattr(_local, "gen", None)
+    if gen is None:
+        gen = _local.gen = np.random.Generator(np.random.Philox())
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64),
+                  "key": np.array([seed, stream_id], np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     return gen.standard_normal((n_steps, 2))
 
 
@@ -208,11 +240,12 @@ def run_ensemble(cfg: SimConfig, count: int, keep_readouts: bool = True,
                  stream_offset: int = 0) -> Ensemble:
     """Trajectories for stream ids offset..offset+count-1, in stream-id order.
 
-    Chunks of ``_CHUNK`` members write disjoint rows, so one thread per usable
-    CPU runs them concurrently; each member rounds the same way in any chunk,
-    so the output is bit-identical for any CPU count.  ``stream_offset`` lets
-    callers build one large logical ensemble in slabs without reusing noise
-    streams.
+    Chunks of ``_CHUNK`` members run one after another.  Each chunk's noise is
+    drawn on every usable CPU, one contiguous range of its stream columns per
+    thread, and then stepped on the calling thread.  A stream's draws depend
+    on its id alone, and each member rounds the same way in any chunk, so the
+    output is bit-identical for any CPU count.  ``stream_offset`` lets callers
+    build one large logical ensemble in slabs without reusing noise streams.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -222,11 +255,31 @@ def run_ensemble(cfg: SimConfig, count: int, keep_readouts: bool = True,
     readouts = np.empty((2, count, n)) if keep_readouts else None
     q0 = cfg.initial_state.as_array()[:, None]
 
-    def run_chunk(lo: int) -> None:
+    def fill(xi, first, j0, j1, errors) -> None:
+        try:
+            for j in range(j0, j1):
+                xi[:, :, j] = noise_stream(cfg.rng_seed, first + j, n)
+        except Exception as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    cpus = _usable_cpus()
+    for lo in range(0, count, _CHUNK):
         hi = min(lo + _CHUNK, count)
         xi = np.empty((n, 2, hi - lo))
-        for j in range(hi - lo):
-            xi[:, :, j] = noise_stream(cfg.rng_seed, base + lo + j, n)
+        # one contiguous range of columns per CPU; the calling thread fills
+        # the first range, and a thread started for it each other one
+        parts = min(cpus, hi - lo)
+        cuts = [k * (hi - lo) // parts for k in range(parts + 1)]
+        errors = []
+        workers = [threading.Thread(target=fill, args=(xi, base + lo, j0, j1, errors))
+                   for j0, j1 in zip(cuts[1:-1], cuts[2:])]
+        for worker in workers:
+            worker.start()
+        fill(xi, base + lo, 0, cuts[1], errors)
+        for worker in workers:
+            worker.join()
+        if errors:
+            raise errors[0]
         out = None if readouts is None else readouts[:, lo:hi].transpose(2, 0, 1)
         try:
             _propagate(np.repeat(q0, hi - lo, axis=1), xi, cfg,
@@ -235,17 +288,6 @@ def run_ensemble(cfg: SimConfig, count: int, keep_readouts: bool = True,
             raise IntegratorError(
                 f"{exc} (streams {base + lo}..{base + hi - 1})"
             ) from exc
-
-    starts = range(0, count, _CHUNK)
-    threads = min(_usable_cpus(), len(starts))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, starts))
-    else:
-        for lo in starts:
-            run_chunk(lo)
     return Ensemble(
         times=cfg.times,
         states=states,
@@ -279,7 +321,7 @@ def polar_ensemble(
     ``Philox(key=[seed, 0])``.
     """
     t = _sample_times(sample_times)
-    gen = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    gen = _philox(seed, 0)
     thetas = np.empty((count, len(t)))
     prev = np.full(count, float(theta_in))
     t_prev = 0.0
@@ -317,7 +359,7 @@ def polar_bridge(
     """
     t = _sample_times(sample_times)
     end = np.asarray(theta_end, dtype=float)
-    gen = np.random.Generator(np.random.Philox(key=[seed, 1]))
+    gen = _philox(seed, 1)
     thetas = np.empty((len(end), len(t)))
     prev = np.full(len(end), float(theta_in))
     t_prev, t_end = 0.0, t[-1]

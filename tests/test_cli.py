@@ -218,6 +218,33 @@ def test_manifest_replay(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+@pytest.mark.parametrize("seed", ["abc", 1.5, True, -1, 2**64])
+@pytest.mark.parametrize("where", ["seed", "sim.rng_seed", "--seed"])
+def test_seed_must_be_64_bit_unsigned_integer(tmp_path, capsys, where, seed):
+    # unchecked, "abc" escaped as a ValueError traceback, 1.5 and true ran as
+    # seed 1, and -1 wrapped to 2**64 - 1
+    cfg = simulate_config(tmp_path / "out")
+    if where == "--seed":
+        code = cli.main(["--config", str(write_config(tmp_path, cfg)), "--seed", str(seed)])
+    else:
+        if where == "seed":
+            cfg["seed"] = seed
+        else:
+            cfg["sim"]["rng_seed"] = seed
+        code = cli.run(write_config(tmp_path, cfg))
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    # argparse refuses what is not an int before the range check sees it
+    assert (f"{where.lstrip('-')} must be an integer in [0, 2**64)" in err
+            or "argument --seed: invalid int value" in err)
+
+
+def test_largest_seed_runs(tmp_path):
+    cfg = dict(simulate_config(tmp_path / "out", seed=2**64 - 1), count=3)
+    cfg["sim"]["rng_seed"] = 2**64 - 1
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_OK
+
+
 def test_seed_flag_overrides_config(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

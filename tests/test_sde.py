@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -178,6 +180,65 @@ def test_noise_stream_deterministic_and_independent():
     assert not np.array_equal(a, c)
 
 
+def _fresh_stream(seed, sid, n):
+    key = np.array([seed, sid], np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).standard_normal((n, 2))
+
+
+def test_noise_stream_equals_fresh_philox():
+    # the thread's re-keyed generator forgets the previous key's counter and
+    # buffer: each call equals a newly built generator under its own key
+    for seed, sid, n in ((42, 7, 100), (5, 1, 33), (42, 7, 100), (0, 0, 1),
+                         (2**64 - 1, 2**63 + 5, 17), (3, 2**64 - 1, 64)):
+        assert np.array_equal(noise_stream(seed, sid, n), _fresh_stream(seed, sid, n))
+
+
+def test_noise_stream_from_concurrent_threads():
+    keys = [(seed, sid) for seed in (1, 2**40 + 3) for sid in range(60)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda key: noise_stream(*key, 129), keys))
+    finally:
+        sys.setswitchinterval(interval)
+    for key, draws in zip(keys, got):
+        assert np.array_equal(draws, _fresh_stream(*key, 129))
+
+
+def test_seeds_above_2_pow_63_keep_their_own_streams():
+    # a key list mixing a word >= 2**63 with a smaller one goes through
+    # float64: 2**63 + 1 drew as 2**63, and 2**64 - 1 as seed 0
+    for a, b in ((2**63, 2**63 + 1), (0, 2**64 - 1)):
+        assert not np.array_equal(noise_stream(a, 0, 4), noise_stream(b, 0, 4))
+        assert not np.array_equal(polar_ensemble(0.3, 1.0, [1.0], 4, seed=a),
+                                  polar_ensemble(0.3, 1.0, [1.0], 4, seed=b))
+        assert not np.array_equal(polar_bridge(0.3, 1.0, [0.5, 1.0], np.zeros(4), seed=a),
+                                  polar_bridge(0.3, 1.0, [0.5, 1.0], np.zeros(4), seed=b))
+
+
+def _ensemble_digest(ens):
+    return hashlib.sha256(ens.states.tobytes() + ens.r_z.tobytes() + ens.r_phi.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("count, chunk", [(67, 5000), (65, 32), (2, 5000)])
+def test_ensemble_digest_independent_of_cpu_count(monkeypatch, count, chunk):
+    # uneven column ranges per thread, a last chunk of one member, and fewer
+    # members than CPUs
+    cfg = general_config(t_final=0.046, seed=11)
+    digests = {_ensemble_digest(_run_with(monkeypatch, cfg, count, chunk=chunk, cpus=cpus))
+               for cpus in (1, 2, 3)}
+    assert len(digests) == 1
+
+
+def test_noise_error_on_a_started_thread_reaches_the_caller(monkeypatch):
+    # with two CPUs the second half of the columns is drawn on a started
+    # thread, and there the stream ids pass 2**64
+    cfg = ideal_xz_config(t_final=0.1)
+    with pytest.raises(OverflowError):
+        _run_with(monkeypatch, cfg, 10, chunk=5000, cpus=2, stream_offset=2**64 - 6)
+
+
 def _run_with(monkeypatch, cfg, count, chunk, cpus, **kw):
     """run_ensemble with the chunk width and usable CPU count replaced."""
     monkeypatch.setattr(sde, "_CHUNK", chunk)
@@ -208,8 +269,9 @@ def test_ensemble_members_match_single_trajectories():
 def test_ensemble_bit_identical_across_chunk_widths(monkeypatch):
     # odd widths and a step count off the kernel's block size; the ideal
     # channels exercise the norm projection, the general ones every coefficient.
-    # Chunks write disjoint rows of shared arrays from more threads than cores,
-    # switching often, so a chunk written to the wrong rows shows as a mismatch
+    # Each chunk's noise is drawn into disjoint columns from more threads than
+    # cores, switching often, so a range written to the wrong columns shows as
+    # a mismatch
     interval = sys.getswitchinterval()
     for cfg in (ideal_xz_config(t_final=0.23, seed=4), general_config(t_final=0.046, seed=4)):
         ref = _run_with(monkeypatch, cfg, 67, chunk=67, cpus=1)
