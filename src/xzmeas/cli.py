@@ -101,9 +101,23 @@ def _grid(spec) -> np.ndarray:
     return np.asarray(spec, dtype=float)
 
 
+def _campaign_seed(cfg: dict, flag) -> int:
+    """The seed that runs: ``--seed``, else the config's ``seed``, else a
+    ``sim.rng_seed``, else 0."""
+    if flag is not None:
+        return _seed(flag, "seed")
+    if "seed" in cfg:
+        return _seed(cfg["seed"], "seed")
+    sim = cfg.get("sim")
+    if isinstance(sim, dict) and "rng_seed" in sim:
+        return _seed(sim["rng_seed"], "sim.rng_seed")
+    return 0
+
+
 def _sim_config(spec: dict, seed: int) -> SimConfig:
     """The ``sim`` block under the campaign seed; a ``rng_seed`` in it is
-    checked like any seed, but the campaign seed is the one that runs."""
+    checked like any seed, and runs only where it is the campaign seed (see
+    ``_campaign_seed``)."""
     try:
         channels = tuple(ChannelConfig(**c) for c in _require(spec, "channels"))
         env = QubitEnvironment(**spec.get("environment", {}))
@@ -354,7 +368,7 @@ def run(config_path, seed=None, output=None) -> int:
                 f"schema_version must be {SCHEMA_VERSION}, got {cfg.get('schema_version')!r}"
             )
         mode = _require(cfg, "mode")
-        effective_seed = _seed(seed if seed is not None else cfg.get("seed", 0), "seed")
+        effective_seed = _campaign_seed(cfg, seed)
         out = Path(output or cfg.get("output_dir", "."))
         out.mkdir(parents=True, exist_ok=True)
         gate_ok = True

@@ -259,6 +259,33 @@ def test_seed_flag_overrides_config(tmp_path):
     ).read_bytes()
 
 
+def _simulate_bytes(tmp_path, name, seed=None, rng_seed=None, flag=None):
+    """mc_correlators.csv and the manifest seed of a simulate campaign with
+    the given seeds; None leaves a seed out."""
+    cfg = simulate_config(tmp_path / name)
+    del cfg["seed"]
+    if seed is not None:
+        cfg["seed"] = seed
+    if rng_seed is not None:
+        cfg["sim"]["rng_seed"] = rng_seed
+    assert cli.run(write_config(tmp_path, cfg, f"{name}.json"), seed=flag) == cli.EXIT_OK
+    manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+    return (tmp_path / name / "mc_correlators.csv").read_bytes(), manifest["seed"]
+
+
+def test_rng_seed_stands_in_for_a_missing_seed(tmp_path):
+    # precedence: --seed, then seed, then sim.rng_seed, then 0
+    by_seed = _simulate_bytes(tmp_path, "seed", seed=5)
+    assert by_seed[1] == 5
+    assert _simulate_bytes(tmp_path, "rng_seed", rng_seed=5) == by_seed
+    assert _simulate_bytes(tmp_path, "both", seed=5, rng_seed=9) == by_seed
+    assert _simulate_bytes(tmp_path, "flag", seed=7, rng_seed=9, flag=5) == by_seed
+    by_default = _simulate_bytes(tmp_path, "default")
+    assert by_default[1] == 0
+    assert by_default[0] != by_seed[0]
+    assert by_default == _simulate_bytes(tmp_path, "zero", seed=0)
+
+
 def reconstruct_config(out, rec_path, t_final=0.5):
     """Config replaying a simulated record, written to ``rec_path``."""
     from xzmeas.bayes import write_readout_records

@@ -120,24 +120,29 @@ def test_purity_never_exceeds_tolerance(rng):
 
 
 def test_renormalize_rejects_blowups(monkeypatch):
-    # a draw far outside the overshoot window at step 7 raises, naming the step
+    # a draw far outside the overshoot window at step 7 raises, naming the
+    # step, whether the batch steps on floats (width 1) or on rows (width 3)
     cfg = ideal_xz_config(t_final=0.1)
-    xi = np.zeros((cfg.n_steps, 2, 1))
-    xi[7, 1, 0] = 1e3
-    with pytest.raises(IntegratorError, match="step 7"):
-        kernel_run(cfg, cfg.initial_state.as_array()[:, None], xi)
+    for width in (1, 3):
+        xi = np.zeros((cfg.n_steps, 2, width))
+        xi[7, 1, 0] = 1e3
+        with pytest.raises(IntegratorError, match="step 7"):
+            kernel_run(cfg, np.repeat(cfg.initial_state.as_array()[:, None], width, axis=1), xi)
     # through run_ensemble the error also names the chunk's stream range
     monkeypatch.setattr(sde, "noise_stream", lambda seed, sid, n: xi[:, :, 0])
     with pytest.raises(IntegratorError, match=r"step 7 \(streams 3\.\.5\)"):
         run_ensemble(cfg, 3, stream_offset=3)
+    with pytest.raises(IntegratorError, match=r"step 7 \(streams 3\.\.3\)"):
+        run_ensemble(cfg, 1, stream_offset=3)
 
 
 def test_nan_draw_raises_integrator_error():
     cfg = ideal_xz_config(t_final=0.1)
-    xi = np.zeros((cfg.n_steps, 2, 3))
-    xi[4, 0, 1] = np.nan
-    with pytest.raises(IntegratorError, match="step 4"):
-        kernel_run(cfg, np.repeat(cfg.initial_state.as_array()[:, None], 3, axis=1), xi)
+    for width, member in ((3, 1), (1, 0)):
+        xi = np.zeros((cfg.n_steps, 2, width))
+        xi[4, 0, member] = np.nan
+        with pytest.raises(IntegratorError, match="step 4"):
+            kernel_run(cfg, np.repeat(cfg.initial_state.as_array()[:, None], width, axis=1), xi)
 
 
 def test_y_decoupled_for_xz_measurement():
@@ -264,6 +269,39 @@ def test_ensemble_members_match_single_trajectories():
         assert np.array_equal(ens.states[sid], traj.states)
         assert np.array_equal(ens.r_z[sid], rec.r_z)
         assert np.array_equal(ens.r_phi[sid], rec.r_phi)
+
+
+def experimental_config(seed):
+    """The 4000-step record of the benchmark's record replay: unequal
+    efficiencies, Rabi detuning and depolarization at dt = 0.004."""
+    gamma = 1 / 1.3
+    return SimConfig(
+        channels=(ChannelConfig(0.0, gamma, 0.54), ChannelConfig(math.pi / 2, gamma, 0.41)),
+        dt=0.004,
+        t_final=16.0,
+        initial_state=polar_to_bloch(math.pi / 4),
+        environment=QubitEnvironment(2 * math.pi * 0.012, (1 / 60 + 1 / 30) / 2),
+        rng_seed=seed,
+    )
+
+
+@pytest.mark.parametrize("cfg", [experimental_config(seed=5),
+                                 ideal_xz_config(t_final=20.0, seed=8)],
+                         ids=["experimental", "ideal"])
+def test_long_float_path_equals_row_path(cfg):
+    # a trajectory steps on Python floats, a 3-wide ensemble on numpy rows;
+    # every state and readout agrees bit for bit over thousands of steps
+    ens = run_ensemble(cfg, 3, stream_offset=40)
+    assert cfg.n_steps >= 2000
+    for j in range(3):
+        traj, rec = simulate_trajectory(cfg, stream_id=40 + j)
+        assert np.array_equal(traj.states, ens.states[j])
+        assert np.array_equal(rec.r_z, ens.r_z[j])
+        assert np.array_equal(rec.r_phi, ens.r_phi[j])
+    if cfg.channels[0].eta == 1.0:
+        # at eta = 1 the path is projected back on to the sphere many times
+        norms = np.linalg.norm(ens.states[:, 1:], axis=2)
+        assert (np.abs(norms - 1.0) <= 1e-15).sum(axis=1).min() > 10
 
 
 def test_ensemble_bit_identical_across_chunk_widths(monkeypatch):
