@@ -12,10 +12,8 @@ __version__ = "0.1.0"
 from .core import (
     BlochState,
     ChannelConfig,
-    PolarState,
     QubitEnvironment,
     SimConfig,
-    bloch_norm,
     measurement_time,
     polar_to_bloch,
 )
@@ -23,10 +21,8 @@ from .core import (
 __all__ = [
     "BlochState",
     "ChannelConfig",
-    "PolarState",
     "QubitEnvironment",
     "SimConfig",
-    "bloch_norm",
     "measurement_time",
     "polar_to_bloch",
     "__version__",

@@ -40,7 +40,6 @@ recursion.  A single record is a batch of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,33 +53,6 @@ POSITIVITY_TOL = 1e-10
 class ReconstructionError(RuntimeError):
     """A Bayesian update gave no state: positivity violated beyond tolerance,
     a NaN, or readouts that saturate the update."""
-
-
-@dataclass(frozen=True)
-class DensityMatrix2:
-    """Single-qubit density matrix in the sigma_z eigenbasis.
-
-    ``coherence`` is the 01 element; populations p0 (z = +1) and p1 sum to 1.
-    """
-
-    p0: float
-    p1: float
-    coherence: complex
-
-    def __post_init__(self):
-        if abs(self.p0 + self.p1 - 1.0) > 1e-12:
-            raise ReconstructionError("trace differs from 1 beyond 1e-12")
-        if abs(self.coherence) ** 2 > self.p0 * self.p1 + 1e-12:
-            raise ReconstructionError("coherence violates positivity")
-
-    def to_bloch(self) -> BlochState:
-        return BlochState(
-            2 * self.coherence.real, -2 * self.coherence.imag, self.p0 - self.p1
-        )
-
-    @classmethod
-    def from_bloch(cls, q: BlochState) -> "DensityMatrix2":
-        return cls((1 + q.z) / 2, (1 - q.z) / 2, complex(q.x, -q.y) / 2)
 
 
 def _coefficients(r, dt: float, channel: ChannelConfig) -> tuple:
@@ -181,22 +153,6 @@ def _start(q: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return np.stack([np.ones_like(x), t00 * x + t01 * z, t10 * x + t11 * z, y])
 
 
-def bayes_update(
-    rho: DensityMatrix2, readout: float, dt: float, channel: ChannelConfig
-) -> DensityMatrix2:
-    """Quantum Bayesian update of ``rho`` for one readout of one channel at any
-    axis angle."""
-    frame = _frame(channel)
-    th, f = _coefficients(np.array([readout]), dt, channel)
-    rows, out = np.empty((1, 4, 1)), np.empty((1, 3, 1))
-    _scan(_start(rho.to_bloch().as_array()[:, None], frame), [(th, f, _entries(np.eye(2)))], rows)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        failed = _normalise(rows, frame, out, np.zeros(1, dtype=np.int64))
-    if failed:
-        raise ReconstructionError(failed[1])
-    return DensityMatrix2.from_bloch(BlochState(*map(float, out[0, :, 0])))
-
-
 def _env_matrix(dt: float, env: QubitEnvironment) -> np.ndarray:
     """Exact map of the residual Rabi rotation and depolarization over dt.
 
@@ -210,18 +166,15 @@ def _env_matrix(dt: float, env: QubitEnvironment) -> np.ndarray:
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
-def env_step(q: BlochState, dt: float, env: QubitEnvironment) -> BlochState:
-    """Exact evolution under residual Rabi rotation and xz depolarization."""
-    return BlochState.from_array(_env_matrix(dt, env) @ q.as_array())
-
-
 def reconstruct(
     readouts: ReadoutRecord, q_in: BlochState, cfg: SimConfig
 ) -> Trajectory:
     """Bloch trajectory implied by a readout record.
 
     Applies the z measurement, then the phi measurement, then the environment
-    map for each step; the ordering ambiguity is O(dt^2).
+    map for each step.  Swapping the two measurements moves a step by O(dt^2)
+    for fixed readouts, but readouts of physical size sqrt(tau/dt) make that
+    an O(dt) zero-mean kick per step, which leaves an O(sqrt(dt)) pathwise gap.
     """
     states = reconstruct_batch(
         np.asarray(readouts.r_z)[:, None],
@@ -325,15 +278,17 @@ def reconstruct_batch(
 # readout-record ingestion
 # ---------------------------------------------------------------------------
 
+def readout_header(cfg: SimConfig) -> dict:
+    """The parameters a readout file's header records, by name."""
+    cz, cp = cfg.channels
+    return {"dt": cfg.dt, "gamma_z": cz.gamma, "eta_z": cz.eta,
+            "gamma_x": cp.gamma, "eta_x": cp.eta}
+
+
 def write_readout_records(path, record: ReadoutRecord, cfg: SimConfig) -> None:
     """Write a delimited text record with a parameter-carrying header."""
-    cz, cp = cfg.channels
     with open_rewrite(path) as fh:
-        fh.write(
-            "# dt={!r} gamma_z={!r} eta_z={!r} gamma_x={!r} eta_x={!r}\n".format(
-                cfg.dt, cz.gamma, cz.eta, cp.gamma, cp.eta
-            )
-        )
+        fh.write("# " + " ".join(f"{k}={v!r}" for k, v in readout_header(cfg).items()) + "\n")
         fh.write("t,r_z,r_x\n")
         rows = zip(record.times.tolist(), record.r_z.tolist(), record.r_phi.tolist())
         fh.writelines(f"{t!r},{rz!r},{rx!r}\n" for t, rz, rx in rows)

@@ -25,7 +25,7 @@ from .analytic import (
     correlator_pre,
     subens_avg_state,
 )
-from .bayes import ReconstructionError, read_readout_records, reconstruct
+from .bayes import ReconstructionError, read_readout_records, readout_header, reconstruct
 from .core import (
     BlochState,
     ChannelConfig,
@@ -43,7 +43,6 @@ from .estimator import (
     covariance,
     select,
     select_polar,
-    variance,
     write_correlator_csv,
 )
 from .fpe import ConditioningError, KernelParams, two_sided_density
@@ -93,12 +92,14 @@ def _seed(value, name: str) -> int:
 
 
 def _grid(spec) -> np.ndarray:
-    if isinstance(spec, dict):
-        try:
+    try:
+        if isinstance(spec, dict):
             return np.linspace(spec["start"], spec["stop"], spec["num"])
-        except KeyError as exc:
-            raise ConfigError(f"grid spec missing field {exc}") from None
-    return np.asarray(spec, dtype=float)
+        return np.asarray(spec, dtype=float)
+    except KeyError as exc:
+        raise ConfigError(f"grid spec missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid grid {spec!r}: {exc}") from None
 
 
 def _campaign_seed(cfg: dict, flag) -> int:
@@ -291,6 +292,14 @@ def _mode_compare(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
 
 def _mode_simulate(cfg: dict, out: Path, seed: int) -> list[str]:
     sim = _sim_config(_require(cfg, "sim"), seed)
+    sel_spec = cfg.get("selection")
+    try:
+        if sel_spec is None:
+            crit = SelectionCriterion(theta_in=0.0, t_total=sim.t_final)
+        else:
+            crit = SelectionCriterion(**sel_spec)
+    except TypeError as exc:
+        raise ConfigError(f"invalid selection: {exc}") from None
     save = bool(cfg.get("save_ensemble", False))
     ens = run_ensemble(sim, _count(cfg), keep_readouts=save)
     outputs = []
@@ -298,11 +307,6 @@ def _mode_simulate(cfg: dict, out: Path, seed: int) -> list[str]:
         path = out / "ensemble.npz"
         save_ensemble(path, ens)
         outputs.append(path.name)
-    sel_spec = cfg.get("selection")
-    if sel_spec is None:
-        crit = SelectionCriterion(theta_in=0.0, t_total=sim.t_final)
-    else:
-        crit = SelectionCriterion(**sel_spec)
     sub = select(ens, crit)
     rows = []
     t1 = _grid(_require(cfg, "t1_grid"))
@@ -315,7 +319,7 @@ def _mode_simulate(cfg: dict, out: Path, seed: int) -> list[str]:
             rows.append((float(t), t2, f"cov_{kind}", cv, cse, sub.accepted_count, sub.total_count))
     for coord in ("x", "z"):
         for t in t1:
-            v, se = variance(sub, coord, float(t))
+            v, se = covariance(sub, coord, coord, float(t), float(t))
             rows.append((float(t), float(t), f"var_{coord}", v, se, sub.accepted_count, sub.total_count))
     csv = out / "mc_correlators.csv"
     write_correlator_csv(csv, rows)
@@ -329,10 +333,16 @@ def _mode_simulate(cfg: dict, out: Path, seed: int) -> list[str]:
 def _mode_reconstruct(cfg: dict, out: Path, seed: int) -> list[str]:
     path = _require(cfg, "input")
     try:
-        record, _params = read_readout_records(path)
+        record, header = read_readout_records(path)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"readout file: {exc}") from None
     sim = _sim_config(_require(cfg, "sim"), seed)
+    # a field the header lacks is taken from the config alone
+    for key, value in readout_header(sim).items():
+        if header.get(key, value) != value:
+            raise ConfigError(
+                f"readout file {path}: header {key}={header[key]!r}, sim config {key}={value!r}"
+            )
     q_in = (
         polar_to_bloch(cfg["initial_theta"])
         if "initial_theta" in cfg

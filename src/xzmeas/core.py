@@ -44,20 +44,6 @@ class BlochState:
         return cls(float(q[0]), float(q[1]), float(q[2]))
 
 
-@dataclass(frozen=True)
-class PolarState:
-    """Pure state on the xz great circle, parametrized by an unwrapped angle.
-
-    The angle lives on the real line; reduction mod 2*pi happens only at
-    selection/comparison boundaries.
-    """
-
-    theta: float
-
-    def to_bloch(self) -> BlochState:
-        return polar_to_bloch(self.theta)
-
-
 def measurement_time(gamma: float, eta: float) -> float:
     """Characteristic measurement time tau = 1/(2*gamma*eta).
 
@@ -74,11 +60,6 @@ def measurement_time(gamma: float, eta: float) -> float:
 def polar_to_bloch(theta: float) -> BlochState:
     """Map a polar angle to the pure state (sin(theta), 0, cos(theta))."""
     return BlochState(math.sin(theta), 0.0, math.cos(theta))
-
-
-def bloch_norm(q: BlochState) -> float:
-    """Euclidean norm of the Bloch vector (1 for pure, 0 for fully mixed)."""
-    return math.sqrt(q.x**2 + q.y**2 + q.z**2)
 
 
 @dataclass(frozen=True)

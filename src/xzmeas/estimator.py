@@ -68,16 +68,6 @@ class SubEnsemble:
         return self.accepted_count / self.total_count
 
 
-@dataclass(frozen=True)
-class CorrelatorResult:
-    t1_grid: np.ndarray
-    t2_ref: float
-    values: np.ndarray
-    std_errors: np.ndarray
-    accepted_count: int
-    total_count: int
-
-
 def _snap_index(times: np.ndarray, t: float) -> int:
     idx = int(np.argmin(np.abs(times - t)))
     dt = times[1] - times[0] if len(times) > 1 else np.inf
@@ -241,10 +231,11 @@ def select_polar(crit: SelectionCriterion, tau_m: float, times, count: int,
     )
 
 
-def _samples(sub: SubEnsemble, a: str, b: str, t1: float, t2: float) -> np.ndarray:
-    i1 = _snap_index(sub.times, t1)
-    i2 = _snap_index(sub.times, t2)
-    return sub.states[:, i1, _COORD[a]] * sub.states[:, i2, _COORD[b]]
+def _column(sub: SubEnsemble, a: str, t: float) -> np.ndarray:
+    """Coordinate ``a`` of every member at the stored time nearest ``t``."""
+    if a not in _COORD:
+        raise DomainError(f"unknown coordinate {a!r}; expected x, y or z")
+    return sub.states[:, _snap_index(sub.times, t), _COORD[a]]
 
 
 def _mean_se(vals: np.ndarray) -> tuple[float, float]:
@@ -258,47 +249,20 @@ def correlate(sub: SubEnsemble, a: str, b: str, t1: float, t2: float):
     """Sample mean of a(t1)*b(t2) over the sub-ensemble, with its SE."""
     if sub.accepted_count < 2:
         raise DomainError("need at least 2 accepted trajectories")
-    return _mean_se(_samples(sub, a, b, t1, t2))
+    return _mean_se(_column(sub, a, t1) * _column(sub, b, t2))
 
 
 def covariance(sub: SubEnsemble, a: str, b: str, t1: float, t2: float):
     """Unbiased sample covariance of a(t1) and b(t2), with its SE."""
     if sub.accepted_count < 2:
         raise DomainError("need at least 2 accepted trajectories")
-    i1 = _snap_index(sub.times, t1)
-    i2 = _snap_index(sub.times, t2)
-    va = sub.states[:, i1, _COORD[a]]
-    vb = sub.states[:, i2, _COORD[b]]
+    va, vb = _column(sub, a, t1), _column(sub, b, t2)
     da = va - va.mean()
     db = vb - vb.mean()
     n = len(va)
     cov = float(np.dot(da, db) / (n - 1))
     se = float(np.std(da * db, ddof=1) / math.sqrt(n))
     return cov, se
-
-
-def variance(sub: SubEnsemble, a: str, t: float):
-    """Unbiased sample variance of a(t), with its SE."""
-    return covariance(sub, a, a, t, t)
-
-
-def correlate_grid(
-    sub: SubEnsemble, a: str, b: str, t1_grid, t2: float
-) -> CorrelatorResult:
-    """correlate() swept over a t1 grid at fixed t2."""
-    t1_grid = np.asarray(t1_grid, dtype=float)
-    vals = np.empty_like(t1_grid)
-    errs = np.empty_like(t1_grid)
-    for j, t1 in enumerate(t1_grid):
-        vals[j], errs[j] = correlate(sub, a, b, float(t1), t2)
-    return CorrelatorResult(
-        t1_grid=t1_grid,
-        t2_ref=t2,
-        values=vals,
-        std_errors=errs,
-        accepted_count=sub.accepted_count,
-        total_count=sub.total_count,
-    )
 
 
 def write_correlator_csv(path, rows) -> None:

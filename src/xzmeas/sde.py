@@ -55,9 +55,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
 
-    def __len__(self):
-        return len(self.times)
-
 
 @dataclass(frozen=True)
 class ReadoutRecord:
@@ -82,10 +79,6 @@ class Ensemble:
     stream_ids: np.ndarray
     r_z: np.ndarray | None = None
     r_phi: np.ndarray | None = None
-
-    @property
-    def count(self) -> int:
-        return self.states.shape[0]
 
 
 # ---------------------------------------------------------------------------

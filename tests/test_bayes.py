@@ -12,10 +12,7 @@ from xzmeas.core import (
 )
 from xzmeas import bayes, sde
 from xzmeas.bayes import (
-    DensityMatrix2,
     ReconstructionError,
-    bayes_update,
-    env_step,
     read_readout_records,
     reconstruct,
     reconstruct_batch,
@@ -35,12 +32,18 @@ def random_mixed_states(rng, n):
     return v
 
 
-def test_density_matrix_bloch_roundtrip(rng):
-    for q in random_mixed_states(rng, 50):
-        rho = DensityMatrix2.from_bloch(BlochState(*q))
-        back = rho.to_bloch()
-        assert np.allclose([back.x, back.y, back.z], q, atol=1e-14)
-        assert rho.p0 + rho.p1 == pytest.approx(1.0, abs=1e-14)
+def replay_step(q, dt, channels, readouts):
+    """Bloch vector after a one-step replay from q: each channel's update at
+    its readout, in the order given, and no environment."""
+    cfg = SimConfig(channels=channels, dt=dt, t_final=dt)
+    r_z, r_x = (np.full((1, 1), r) for r in readouts)
+    return reconstruct_batch(r_z, r_x, np.asarray(q, dtype=float), cfg)[1, 0]
+
+
+def update(q, r, dt, chan):
+    """One channel's update of q at readout r; the ideal z channel follows at
+    readout 0, which is the identity."""
+    return replay_step(q, dt, (chan, Z_CHAN), (r, 0.0))
 
 
 def test_update_preserves_trace_and_positivity(rng):
@@ -49,10 +52,8 @@ def test_update_preserves_trace_and_positivity(rng):
     readouts = rng.normal(0.0, math.sqrt(Z_CHAN.tau / dt), 5000)
     for chan in (Z_CHAN, X_CHAN):
         for q, r in zip(states[:2500], readouts[:2500]):
-            rho = bayes_update(DensityMatrix2.from_bloch(BlochState(*q)), r, dt, chan)
-            assert rho.p0 + rho.p1 == pytest.approx(1.0, abs=1e-12)
-            out = rho.to_bloch()
-            assert out.x**2 + out.y**2 + out.z**2 <= 1.0 + 1e-9
+            out = update(q, r, dt, chan)
+            assert out @ out <= 1.0 + 1e-9
 
 
 def test_update_weakly_converges_to_ito_moments(rng):
@@ -81,11 +82,11 @@ def test_update_weakly_converges_to_ito_moments(rng):
 def test_x_update_is_rotated_z_update():
     dt, r = 0.01, 3.7
     q = BlochState(0.3, 0.1, -0.4)
-    out_x = bayes_update(DensityMatrix2.from_bloch(q), r, dt, X_CHAN).to_bloch()
+    out_x = update(q.as_array(), r, dt, X_CHAN)
     rot = BlochState(-q.z, q.y, q.x)  # -pi/2 rotation about y
-    out_rot = bayes_update(DensityMatrix2.from_bloch(rot), r, dt, Z_CHAN).to_bloch()
-    back = BlochState(out_rot.z, out_rot.y, -out_rot.x)
-    assert np.allclose(out_x.as_array(), back.as_array(), atol=1e-14)
+    x, y, z = update(rot.as_array(), r, dt, Z_CHAN)
+    back = BlochState(z, y, -x)
+    assert np.allclose(out_x, back.as_array(), atol=1e-14)
 
 
 def test_general_axis_update_is_rotated_z_update():
@@ -96,12 +97,10 @@ def test_general_axis_update_is_rotated_z_update():
         [[math.cos(phi), 0, math.sin(phi)], [0, 1, 0], [-math.sin(phi), 0, math.cos(phi)]]
     )
     q = np.array([0.3, 0.1, -0.4])
-    out = bayes_update(DensityMatrix2.from_bloch(BlochState(*q)), r, dt, chan).to_bloch()
+    out = update(q, r, dt, chan)
     z_chan = ChannelConfig(0.0, chan.gamma, chan.eta)
-    back = bayes_update(
-        DensityMatrix2.from_bloch(BlochState(*(rot.T @ q))), r, dt, z_chan
-    ).to_bloch()
-    assert np.allclose(out.as_array(), rot @ back.as_array(), atol=1e-14)
+    back = update(rot.T @ q, r, dt, z_chan)
+    assert np.allclose(out, rot @ back, atol=1e-14)
 
 
 def test_composition_order_error_is_second_order():
@@ -110,10 +109,9 @@ def test_composition_order_error_is_second_order():
 
     def swap_gap(dt):
         r_z, r_x = 0.9, -1.4
-        rho = DensityMatrix2.from_bloch(q)
-        zx = bayes_update(bayes_update(rho, r_z, dt, Z_CHAN), r_x, dt, X_CHAN)
-        xz = bayes_update(bayes_update(rho, r_x, dt, X_CHAN), r_z, dt, Z_CHAN)
-        return np.linalg.norm(zx.to_bloch().as_array() - xz.to_bloch().as_array())
+        zx = replay_step(q.as_array(), dt, (Z_CHAN, X_CHAN), (r_z, r_x))
+        xz = replay_step(q.as_array(), dt, (X_CHAN, Z_CHAN), (r_x, r_z))
+        return np.linalg.norm(zx - xz)
 
     g_big, g_small = swap_gap(dt_big), swap_gap(dt_small)
     assert g_big > 0
@@ -124,15 +122,15 @@ def test_env_step_exact_rotation_and_damping():
     env = QubitEnvironment(rabi_detuning=0.8, depolarization_rate=0.2)
     q = BlochState(0.3, 0.2, 0.4)
     t = 0.5
-    out = env_step(q, t, env)
+    out = bayes._env_matrix(t, env) @ q.as_array()
     damp = math.exp(-0.2 * t)
     c, s = math.cos(0.8 * t), math.sin(0.8 * t)
-    assert out.x == pytest.approx(damp * (q.x * c + q.z * s), abs=1e-14)
-    assert out.z == pytest.approx(damp * (q.z * c - q.x * s), abs=1e-14)
-    assert out.y == q.y  # depolarization acts in the xz plane only
+    assert out[0] == pytest.approx(damp * (q.x * c + q.z * s), abs=1e-14)
+    assert out[2] == pytest.approx(damp * (q.z * c - q.x * s), abs=1e-14)
+    assert out[1] == q.y  # depolarization acts in the xz plane only
     # two half steps compose exactly to one full step
-    half = env_step(env_step(q, t / 2, env), t / 2, env)
-    assert np.allclose(half.as_array(), out.as_array(), atol=1e-15)
+    half = bayes._env_matrix(t / 2, env)
+    assert np.allclose(half @ (half @ q.as_array()), out, atol=1e-15)
 
 
 def test_replay_matches_sde_mean_y_under_depolarization():
@@ -154,27 +152,88 @@ def test_replay_matches_sde_mean_y_under_depolarization():
     assert abs(y_rep.mean() - y_sde.mean()) <= 4 * se
 
 
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def density(q):
+    """2x2 density matrix of the Bloch vector q."""
+    return 0.5 * (np.eye(2) + np.tensordot(q, PAULI, 1))
+
+
+def bloch(rho):
+    """Bloch vectors (m, 3) of density matrices rho (m, 2, 2)."""
+    return np.einsum("mij,cji->mc", rho, PAULI).real
+
+
+def kraus_step(cfg):
+    """One step of density matrices (m, 2, 2) given readouts (m,) of each
+    channel: per channel rho -> K rho K / tr with K = exp(a sigma_n / 2), then
+    the phase flip about n that leaves E of the transverse components; then
+    the rotation exp(-i Omega dt sigma_y / 2) and the xz phase flip about y."""
+    env = cfg.environment
+    half = env.rabi_detuning * cfg.dt / 2
+    u = math.cos(half) * np.eye(2) - 1j * math.sin(half) * PAULI[1]
+    damp = math.exp(-env.depolarization_rate * cfg.dt)
+    channels = []
+    for ch in cfg.channels:
+        sig = math.sin(ch.axis_angle) * PAULI[0] + math.cos(ch.axis_angle) * PAULI[2]
+        extra = math.exp(-(ch.gamma - 1 / (2 * ch.tau)) * cfg.dt)
+        channels.append((sig, extra, cfg.dt / ch.tau))
+
+    def step(rho, r_z, r_x):
+        for (sig, extra, rate), r in zip(channels, (r_z, r_x)):
+            a = (r * rate / 2)[:, None, None]
+            kraus = np.cosh(a) * np.eye(2) + np.sinh(a) * sig
+            rho = kraus @ rho @ kraus
+            rho = rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
+            rho = (1 + extra) / 2 * rho + (1 - extra) / 2 * (sig @ rho @ sig)
+        rho = u @ rho @ u.conj().T
+        return (1 + damp) / 2 * rho + (1 - damp) / 2 * (PAULI[1] @ rho @ PAULI[1])
+
+    return step
+
+
+def kraus_chain(cfg, r_z, r_x):
+    """Bloch states (n + 1, m, 3) of 2x2 density matrices driven by readouts
+    (n, m), one ``kraus_step`` at a time."""
+    n, m = r_z.shape
+    step = kraus_step(cfg)
+    rho = np.repeat(density(cfg.initial_state.as_array())[None], m, axis=0)
+    out = np.empty((n + 1, m, 3))
+    out[0] = bloch(rho)
+    for k in range(n):
+        rho = step(rho, r_z[k], r_x[k])
+        out[k + 1] = bloch(rho)
+    return out
+
+
 def kraus_sampled_trajectory(cfg, seed):
-    """Readout-consistent trajectory driven by the measurement update itself."""
-    cz, cp = cfg.channels
+    """Readout-consistent trajectory of the 2x2 density-matrix chain, whose
+    readouts the fused SDE kernel emits from each state and the stream's
+    draws; it shares no code with replay."""
     noises = sde.noise_stream(seed, 0, cfg.n_steps)
-    rho = DensityMatrix2.from_bloch(cfg.initial_state)
+    step = kraus_step(cfg)
+    rho = density(cfg.initial_state.as_array())[None]
     states = [cfg.initial_state.as_array()]
     r_z = np.empty(cfg.n_steps)
     r_x = np.empty(cfg.n_steps)
     for k in range(cfg.n_steps):
-        # the readouts the fused SDE kernel emits from this state and draws
-        q = rho.to_bloch().as_array()[:, None]
-        _, readouts = kernel_run(cfg, q, noises[k].reshape(1, 2, 1))
+        _, readouts = kernel_run(cfg, bloch(rho).T, noises[k].reshape(1, 2, 1))
         r_z[k], r_x[k] = readouts[0, :, 0]
-        rho = bayes_update(rho, r_z[k], cfg.dt, cz)
-        rho = bayes_update(rho, r_x[k], cfg.dt, cp)
-        rho = DensityMatrix2.from_bloch(
-            env_step(rho.to_bloch(), cfg.dt, cfg.environment)
-        )
-        states.append(rho.to_bloch().as_array())
+        rho = step(rho, readouts[0, 0], readouts[0, 1])
+        states.append(bloch(rho)[0])
     record = sde.ReadoutRecord(times=cfg.times[:-1], r_z=r_z, r_phi=r_x)
     return np.array(states), record
+
+
+def test_loop_closure_reference_shares_no_code_with_replay(monkeypatch):
+    def fail(*args):
+        raise AssertionError("the reference must not call the replay kernel")
+
+    monkeypatch.setattr(bayes, "_scan", fail)
+    cfg = ideal_xz_config(t_final=0.1, seed=77)
+    states, _ = kraus_sampled_trajectory(cfg, seed=77)
+    assert states.shape == (cfg.n_steps + 1, 3)
 
 
 def test_reconstruct_replays_measurement_sampled_trajectory():
@@ -290,42 +349,6 @@ def test_replay_rejects_saturated_readouts(width):
     r_z[5], r_z[6] = 1e6, -1e6
     with pytest.raises(ReconstructionError, match=r"\(w = 0\) at step 6: .* saturate"):
         reconstruct_batch(r_z, r_x, cfg.initial_state.as_array(), cfg)
-
-
-PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-
-
-def kraus_chain(cfg, r_z, r_x):
-    """Bloch states (n + 1, m, 3) of 2x2 density matrices driven by readouts
-    (n, m): per channel rho -> K rho K / tr with K = exp(a sigma_n / 2), then
-    the phase flip about n that leaves E of the transverse components; then
-    the rotation exp(-i Omega dt sigma_y / 2) and the xz phase flip about y."""
-    n, m = r_z.shape
-    rho = 0.5 * (np.eye(2) + np.tensordot(cfg.initial_state.as_array(), PAULI, 1))
-    rho = np.repeat(rho[None], m, axis=0)
-    env = cfg.environment
-    half = env.rabi_detuning * cfg.dt / 2
-    u = math.cos(half) * np.eye(2) - 1j * math.sin(half) * PAULI[1]
-    damp = math.exp(-env.depolarization_rate * cfg.dt)
-    channels = []
-    for ch in cfg.channels:
-        sig = math.sin(ch.axis_angle) * PAULI[0] + math.cos(ch.axis_angle) * PAULI[2]
-        extra = math.exp(-(ch.gamma - 1 / (2 * ch.tau)) * cfg.dt)
-        channels.append((sig, extra, cfg.dt / ch.tau))
-    out = np.empty((n + 1, m, 3))
-    for k in range(n + 1):
-        out[k] = np.einsum("mij,cji->mc", rho, PAULI).real
-        if k == n:
-            break
-        for (sig, extra, rate), r in zip(channels, (r_z[k], r_x[k])):
-            a = (r * rate / 2)[:, None, None]
-            kraus = np.cosh(a) * np.eye(2) + np.sinh(a) * sig
-            rho = kraus @ rho @ kraus
-            rho = rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
-            rho = (1 + extra) / 2 * rho + (1 - extra) / 2 * (sig @ rho @ sig)
-        rho = u @ rho @ u.conj().T
-        rho = (1 + damp) / 2 * rho + (1 - damp) / 2 * (PAULI[1] @ rho @ PAULI[1])
-    return out
 
 
 @pytest.mark.parametrize("eta, phi", [(1.0, math.pi / 2), (0.5, math.pi / 3)])

@@ -361,6 +361,41 @@ def test_mode_reconstruct_huge_readout(tmp_path, capsys):
     assert "at step 11: readouts" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header, field", [
+    ("# dt=0.005 gamma_z=0.5 eta_z=1.0 gamma_x=0.5 eta_x=1.0", "dt"),
+    ("# eta_x=0.9", "eta_x"),
+    ("# gamma_z=0.5", None),
+])
+def test_mode_reconstruct_checks_header(tmp_path, capsys, header, field):
+    # the record is written from the config's own sim block; a header field
+    # that differs from it exits 3 naming the field, and a field the header
+    # lacks is taken from the config
+    rec_path = tmp_path / "readouts.txt"
+    cfgp = write_config(tmp_path, reconstruct_config(tmp_path / "out", rec_path))
+    lines = rec_path.read_text().splitlines()
+    assert lines[0] == "# dt=0.01 gamma_z=0.5 eta_z=1.0 gamma_x=0.5 eta_x=1.0"
+    lines[0] = header
+    rec_path.write_text("\n".join(lines) + "\n")
+    if field is None:
+        assert cli.run(cfgp) == cli.EXIT_OK
+    else:
+        assert cli.run(cfgp) == cli.EXIT_CONFIG
+        assert f"header {field}=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"selection": {"bogus": 1, "theta_in": 0.0, "t_total": 1.0}}, "invalid selection"),
+    ({"selection": 5}, "invalid selection"),
+    ({"t1_grid": ["a"]}, "invalid grid"),
+    ({"kinds": ["zq"]}, "unknown coordinate 'q'"),
+])
+def test_malformed_simulate_config_exits_config(tmp_path, capsys, change, message):
+    # each escaped as a TypeError, ValueError or KeyError traceback, exit 1
+    cfg = dict(simulate_config(tmp_path / "out"), **change)
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def test_rerun_over_longer_outputs_matches_fresh_run(tmp_path):
     # each campaign first runs with a larger config into "used", then with a
     # smaller one; every file must equal a run into an empty directory

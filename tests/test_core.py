@@ -7,10 +7,8 @@ from xzmeas.core import (
     BlochState,
     ChannelConfig,
     DomainError,
-    PolarState,
     QubitEnvironment,
     SimConfig,
-    bloch_norm,
     measurement_time,
     open_rewrite,
     polar_to_bloch,
@@ -50,7 +48,8 @@ def test_polar_to_bloch_periodic(rng):
 def test_polar_to_bloch_unit_norm(rng):
     thetas = rng.uniform(-100, 100, 10_000)
     for theta in thetas:
-        assert abs(bloch_norm(polar_to_bloch(theta)) - 1.0) <= 1e-15
+        q = polar_to_bloch(theta)
+        assert abs(math.sqrt(q.x**2 + q.y**2 + q.z**2) - 1.0) <= 1e-15
 
 
 def test_bloch_state_norm_invariant():
@@ -81,15 +80,6 @@ def test_bloch_state_roundtrip():
     q = BlochState(0.1, -0.2, 0.3)
     assert np.allclose(q.as_array(), [0.1, -0.2, 0.3])
     assert BlochState.from_array(q.as_array()) == q
-
-
-def test_polar_state_unwrapped():
-    # angles live on the real line; no reduction on construction
-    p = PolarState(7.5)
-    assert p.theta == 7.5
-    q = p.to_bloch()
-    assert q.x == pytest.approx(math.sin(7.5))
-    assert q.z == pytest.approx(math.cos(7.5))
 
 
 def test_channel_config_tau_derived():

@@ -11,12 +11,10 @@ from xzmeas.estimator import (
     SelectionError,
     SubEnsemble,
     correlate,
-    correlate_grid,
     covariance,
     read_correlator_csv,
     select,
     select_polar,
-    variance,
     write_correlator_csv,
 )
 from xzmeas.fpe import KernelParams, transition_prob
@@ -251,9 +249,11 @@ def test_correlate_symmetry(ens):
 
 
 def test_covariance_variance_consistency(ens):
+    # the equal-time, equal-coordinate covariance is the unbiased variance
     cv, cse = covariance(ens, "z", "z", 1.5, 1.5)
-    vv, vse = variance(ens, "z", 1.5)
-    assert cv == vv and cse == vse
+    z = ens.states[:, int(np.argmin(np.abs(ens.times - 1.5))), 2]
+    assert cv == pytest.approx(np.var(z, ddof=1), rel=1e-12)
+    assert cse == pytest.approx(np.std((z - z.mean()) ** 2, ddof=1) / math.sqrt(len(z)), rel=1e-12)
 
 
 def test_se_scales_inverse_sqrt_count():
@@ -297,16 +297,6 @@ def test_window_halving_stability(ens):
 def test_snap_index_rejects_off_grid(ens):
     with pytest.raises(DomainError):
         correlate(ens, "z", "z", 1.0, 17.0)
-
-
-def test_correlate_grid(ens):
-    grid = TIMES[1:6]
-    res = correlate_grid(ens, "z", "x", grid, 2.0)
-    assert res.values.shape == grid.shape
-    for j, t in enumerate(grid):
-        v, e = correlate(ens, "z", "x", float(t), 2.0)
-        assert res.values[j] == v
-        assert res.std_errors[j] == e
 
 
 def test_correlator_csv_roundtrip(tmp_path):
