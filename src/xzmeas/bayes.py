@@ -43,7 +43,7 @@ import math
 
 import numpy as np
 
-from .core import BlochState, ChannelConfig, QubitEnvironment, SimConfig, open_rewrite
+from .core import BlochState, ChannelConfig, QubitEnvironment, SimConfig, write_table
 from .sde import _BLOCK, ReadoutRecord, Trajectory
 
 #: positivity slack before a reconstruction error is raised
@@ -287,11 +287,9 @@ def readout_header(cfg: SimConfig) -> dict:
 
 def write_readout_records(path, record: ReadoutRecord, cfg: SimConfig) -> None:
     """Write a delimited text record with a parameter-carrying header."""
-    with open_rewrite(path) as fh:
-        fh.write("# " + " ".join(f"{k}={v!r}" for k, v in readout_header(cfg).items()) + "\n")
-        fh.write("t,r_z,r_x\n")
-        rows = zip(record.times.tolist(), record.r_z.tolist(), record.r_phi.tolist())
-        fh.writelines(f"{t!r},{rz!r},{rx!r}\n" for t, rz, rx in rows)
+    params = " ".join(f"{k}={v!r}" for k, v in readout_header(cfg).items())
+    rows = zip(record.times.tolist(), record.r_z.tolist(), record.r_phi.tolist())
+    write_table(path, f"# {params}\nt,r_z,r_x", rows)
 
 
 def _finite(text: str, where: str) -> float:

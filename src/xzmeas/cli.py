@@ -26,19 +26,10 @@ from .analytic import (
     subens_avg_state,
 )
 from .bayes import ReconstructionError, read_readout_records, readout_header, reconstruct
-from .core import (
-    BlochState,
-    ChannelConfig,
-    DomainError,
-    QubitEnvironment,
-    SimConfig,
-    open_rewrite,
-    polar_to_bloch,
-)
+from .core import DomainError, SimConfig, open_rewrite, polar_to_bloch, write_table
 from .estimator import (
     SelectionCriterion,
     SelectionError,
-    SubEnsemble,
     correlate,
     covariance,
     select,
@@ -73,13 +64,13 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
-def _count(cfg: dict) -> int:
-    """The ``count`` field: a positive integer (an integral float such as
-    1e6 included), never a bool."""
-    count = _require(cfg, "count")
+def _count(cfg: dict, key: str = "count", *default) -> int:
+    """Field ``key``: a positive integer (an integral float such as 1e6
+    included), never a bool; ``default`` stands in for a missing field."""
+    count = cfg.get(key, *default) if default else _require(cfg, key)
     if (isinstance(count, bool) or not isinstance(count, (int, float))
             or not float(count).is_integer() or count < 1):
-        raise ConfigError(f"count must be a positive integer, got {count!r}")
+        raise ConfigError(f"{key} must be a positive integer, got {count!r}")
     return int(count)
 
 
@@ -91,15 +82,57 @@ def _seed(value, name: str) -> int:
     return value
 
 
-def _grid(spec) -> np.ndarray:
+def _number(cfg: dict, key: str, *default) -> float | None:
+    """Field ``key``: an int or a float, never a bool; ``default`` stands in
+    for a missing field, and a default of None lets the field be null.
+    Ranges and finiteness are the domain types' to check."""
+    value = cfg.get(key, *default) if default else _require(cfg, key)
+    if value is None and default == (None,):
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _grid(cfg: dict, key: str) -> np.ndarray:
+    """Field ``key``: a 1-D grid, a list or ``{"start", "stop", "num"}``."""
+    spec = _require(cfg, key)
     try:
         if isinstance(spec, dict):
-            return np.linspace(spec["start"], spec["stop"], spec["num"])
-        return np.asarray(spec, dtype=float)
+            grid = np.linspace(spec["start"], spec["stop"], spec["num"])
+        else:
+            grid = np.asarray(spec, dtype=float)
     except KeyError as exc:
-        raise ConfigError(f"grid spec missing field {exc}") from None
+        raise ConfigError(f"grid {key} missing field {exc}") from None
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid grid {spec!r}: {exc}") from None
+        raise ConfigError(f"invalid grid {key}={spec!r}: {exc}") from None
+    if grid.ndim != 1:
+        raise ConfigError(f"{key} must be a 1-D grid, got {spec!r}")
+    return grid
+
+
+def _kinds(cfg: dict, default=("zz", "zx", "xx")) -> list[str]:
+    """The ``kinds`` field: a list of two-letter names such as "zx"; the
+    letters are the estimators' and closed forms' to check."""
+    kinds = cfg.get("kinds", default)
+    if not isinstance(kinds, (list, tuple)) or not all(
+            isinstance(k, str) and len(k) == 2 for k in kinds):
+        raise ConfigError(f"kinds must be a list of two-letter names, got {kinds!r}")
+    return list(kinds)
+
+
+def _curve(cfg: dict) -> tuple[np.ndarray, float]:
+    """The ``t1_grid`` and ``t2`` fields."""
+    return _grid(cfg, "t1_grid"), _number(cfg, "t2")
+
+
+def _boundary(cfg: dict, optional=("theta_f", "t_total")) -> BoundaryCondition:
+    """The BoundaryCondition of theta_in, tau_m, theta_f and t_total; a field
+    in ``optional`` may be missing."""
+    fields = ("theta_in", "tau_m", "theta_f", "t_total")
+    return BoundaryCondition(
+        *(_number(cfg, k, None) if k in optional else _number(cfg, k) for k in fields)
+    )
 
 
 def _campaign_seed(cfg: dict, flag) -> int:
@@ -115,27 +148,17 @@ def _campaign_seed(cfg: dict, flag) -> int:
     return 0
 
 
-def _sim_config(spec: dict, seed: int) -> SimConfig:
+def _sim_config(cfg: dict, seed: int) -> SimConfig:
     """The ``sim`` block under the campaign seed; a ``rng_seed`` in it is
     checked like any seed, and runs only where it is the campaign seed (see
     ``_campaign_seed``)."""
+    spec = _require(cfg, "sim")
     try:
-        channels = tuple(ChannelConfig(**c) for c in _require(spec, "channels"))
-        env = QubitEnvironment(**spec.get("environment", {}))
-        if "initial_theta" in spec:
-            initial = polar_to_bloch(spec["initial_theta"])
-        else:
-            initial = BlochState(*spec.get("initial_state", (0.0, 0.0, 1.0)))
         _seed(spec.get("rng_seed", 0), "sim.rng_seed")
-        return SimConfig(
-            channels=channels,
-            dt=_require(spec, "dt"),
-            t_final=_require(spec, "t_final"),
-            initial_state=initial,
-            environment=env,
-            rng_seed=seed,
-        )
-    except (TypeError, DomainError) as exc:
+        return SimConfig.from_dict({**spec, "rng_seed": seed})
+    except KeyError as exc:
+        raise ConfigError(f"missing config field {exc}") from None
+    except (TypeError, AttributeError, DomainError) as exc:
         raise ConfigError(f"invalid sim config: {exc}") from None
 
 
@@ -152,7 +175,7 @@ def _write_plot_script(path: Path, title: str, csv_name: str, columns) -> None:
 
 
 # ---------------------------------------------------------------------------
-# modes
+# modes: each takes (cfg, out, seed) and returns (outputs, gate_ok)
 # ---------------------------------------------------------------------------
 
 def _exact_correlator(kind: str, t1: np.ndarray, t2: float, bc: BoundaryCondition) -> np.ndarray:
@@ -162,127 +185,80 @@ def _exact_correlator(kind: str, t1: np.ndarray, t2: float, bc: BoundaryConditio
     return correlator_pre(kind, t1, t2, bc.theta_in, bc.tau_m)
 
 
-def _mode_analytic(cfg: dict, out: Path) -> list[str]:
-    bc = BoundaryCondition(
-        theta_in=_require(cfg, "theta_in"),
-        tau_m=_require(cfg, "tau_m"),
-        theta_f=cfg.get("theta_f"),
-        t_total=cfg.get("t_total"),
-    )
-    outputs = []
-    t1 = _grid(_require(cfg, "t1_grid"))
-    t2 = float(_require(cfg, "t2"))
+def _mode_analytic(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
+    bc = _boundary(cfg)
+    t1, t2 = _curve(cfg)
+    points = _count(cfg, "state_points", 101)
     rows = []
-    for kind in cfg.get("kinds", ["zz", "zx", "xx"]):
+    for kind in _kinds(cfg):
         values = _exact_correlator(kind, t1, t2, bc)
-        rows += [(float(t), t2, kind, v, 0.0, 0, 0) for t, v in zip(t1, values)]
+        rows += [(t, t2, kind, v, 0.0, 0, 0) for t, v in zip(t1.tolist(), values.tolist())]
     csv = out / "analytic_correlators.csv"
     write_correlator_csv(csv, rows)
-    outputs.append(csv.name)
+    outputs = [csv.name, "fig1b.gp"]
     if bc.post_selected:
         path = out / "analytic_state.csv"
-        ts = np.linspace(0.0, bc.t_total, cfg.get("state_points", 101))
-        with open_rewrite(path) as fh:
-            fh.write("t,x,z,norm\n")
-            for t, (x, _, z) in zip(ts, subens_avg_state(ts, bc).tolist()):
-                fh.write(f"{float(t)!r},{x!r},{z!r},{math.hypot(x, z)!r}\n")
-        outputs.append(path.name)
-        gp = out / "fig1a.gp"
-        _write_plot_script(gp, "sub-ensemble average state", path.name, ["1:2", "1:3", "1:4"])
-        outputs.append(gp.name)
-    gp = out / "fig1b.gp"
-    _write_plot_script(gp, "conditional correlators", csv.name, ["1:4"])
-    outputs.append(gp.name)
-    return outputs
+        ts = np.linspace(0.0, bc.t_total, points)
+        states = zip(ts.tolist(), subens_avg_state(ts, bc).tolist())
+        write_table(path, "t,x,z,norm", ((t, x, z, math.hypot(x, z)) for t, (x, _, z) in states))
+        _write_plot_script(out / "fig1a.gp", "sub-ensemble average state", path.name,
+                           ["1:2", "1:3", "1:4"])
+        outputs += [path.name, "fig1a.gp"]
+    _write_plot_script(out / "fig1b.gp", "conditional correlators", csv.name, ["1:4"])
+    return outputs, True
 
 
-def _mode_fpe(cfg: dict, out: Path) -> list[str]:
-    bc = BoundaryCondition(
-        theta_in=_require(cfg, "theta_in"),
-        tau_m=_require(cfg, "tau_m"),
-        theta_f=_require(cfg, "theta_f"),
-        t_total=_require(cfg, "t_total"),
-    )
+def _mode_fpe(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
+    bc = _boundary(cfg, optional=())
+    times = _grid(cfg, "times").tolist()
+    thetas = np.linspace(0.0, 2 * math.pi, _count(cfg, "theta_points", 181))
     kp = KernelParams.from_tau(bc.tau_m)
-    thetas = np.linspace(0.0, 2 * math.pi, cfg.get("theta_points", 181))
+    dens = [two_sided_density(thetas, t, bc, kp).tolist() for t in times]
     path = out / "fpe_density.csv"
-    with open_rewrite(path) as fh:
-        fh.write(
-            "theta," + ",".join(f"t={float(t)!r}" for t in _require(cfg, "times")) + "\n"
-        )
-        dens = [two_sided_density(thetas, float(t), bc, kp) for t in cfg["times"]]
-        for i, th in enumerate(thetas):
-            fh.write(
-                f"{float(th)!r}," + ",".join(f"{float(d[i])!r}" for d in dens) + "\n"
-            )
-    gp = out / "fig3.gp"
-    cols = [f"1:{i + 2}" for i in range(len(cfg["times"]))]
-    _write_plot_script(gp, "two-sided density snapshots", path.name, cols)
-    return [path.name, gp.name]
+    write_table(path, ",".join(["theta", *(f"t={t!r}" for t in times)]),
+                zip(thetas.tolist(), *dens))
+    cols = [f"1:{i + 2}" for i in range(len(times))]
+    _write_plot_script(out / "fig3.gp", "two-sided density snapshots", path.name, cols)
+    return [path.name, "fig3.gp"], True
 
 
-def _mode_perturb(cfg: dict, out: Path) -> list[str]:
-    theta_in = _require(cfg, "theta_in")
-    p = TreeParams(
-        gamma_x=_require(cfg, "gamma_x"),
-        gamma_z=_require(cfg, "gamma_z"),
-        eta_x=_require(cfg, "eta_x"),
-        eta_z=_require(cfg, "eta_z"),
-        x_in=math.sin(theta_in),
-        z_in=math.cos(theta_in),
-    )
-    t1 = _grid(_require(cfg, "t1_grid"))
-    t2 = float(_require(cfg, "t2"))
+def _mode_perturb(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
+    rates = [_number(cfg, k) for k in ("gamma_x", "gamma_z", "eta_x", "eta_z")]
+    theta_in = _number(cfg, "theta_in")
+    p = TreeParams(*rates, x_in=math.sin(theta_in), z_in=math.cos(theta_in))
+    t1, t2 = _curve(cfg)
+    ts = t1.tolist()
     rows = []
-    for kind in cfg.get("kinds", ["zz", "zx", "xx"]):
-        for t in t1:
-            rows.append((float(t), t2, f"cov_{kind}", cov_tree(kind, float(t), t2, p), 0.0, 0, 0))
-    for coord in ("x", "z"):
-        for t in t1:
-            rows.append((float(t), float(t), f"var_{coord}", var_tree(coord, float(t), p), 0.0, 0, 0))
-            rows.append((float(t), float(t), f"mean_{coord}", mean_tree(coord, float(t), p), 0.0, 0, 0))
+    for kind in _kinds(cfg):
+        rows += [(t, t2, f"cov_{kind}", v, 0.0, 0, 0)
+                 for t, v in zip(ts, cov_tree(kind, t1, t2, p).tolist())]
+    for c in ("x", "z"):
+        for t, v, m in zip(ts, var_tree(c, t1, p).tolist(), mean_tree(c, t1, p).tolist()):
+            rows += [(t, t, f"var_{c}", v, 0.0, 0, 0), (t, t, f"mean_{c}", m, 0.0, 0, 0)]
     csv = out / "perturb_correlators.csv"
     write_correlator_csv(csv, rows)
-    gp = out / "fig2.gp"
-    _write_plot_script(gp, "tree-level covariances", csv.name, ["1:4"])
-    return [csv.name, gp.name]
-
-
-def _mc_subensemble(cfg: dict, seed: int) -> SubEnsemble:
-    """Ideal-XZ polar Monte Carlo sampled exactly on the needed grid."""
-    tau_m = _require(cfg, "tau_m")
-    t1 = _grid(_require(cfg, "t1_grid"))
-    t2 = float(_require(cfg, "t2"))
-    t_total = float(_require(cfg, "t_total"))
-    times = np.unique(np.concatenate([t1, [t2, t_total]]))
-    crit = SelectionCriterion(
-        theta_in=_require(cfg, "theta_in"),
-        t_total=t_total,
-        theta_f=cfg.get("theta_f"),
-        angular_window=cfg.get("angular_window", 0.05),
-    )
-    return select_polar(crit, tau_m, times, _count(cfg), seed)
+    _write_plot_script(out / "fig2.gp", "tree-level covariances", csv.name, ["1:4"])
+    return [csv.name, "fig2.gp"], True
 
 
 def _mode_compare(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
-    """Cross-validate ideal-XZ Monte Carlo against the analytic backend."""
-    bc = BoundaryCondition(
-        theta_in=_require(cfg, "theta_in"),
-        tau_m=_require(cfg, "tau_m"),
-        theta_f=cfg.get("theta_f"),
-        t_total=cfg.get("t_total"),
-    )
-    sub = _mc_subensemble(cfg, seed)
-    t1 = _grid(cfg["t1_grid"])
-    t2 = float(cfg["t2"])
-    n_sigma = cfg.get("n_sigma", 3.0)
+    """Cross-validate ideal-XZ polar Monte Carlo, sampled exactly on the
+    needed grid, against the analytic backend."""
+    bc = _boundary(cfg, optional=("theta_f",))
+    t1, t2 = _curve(cfg)
+    kinds = _kinds(cfg, ("zz", "zx"))
+    n_sigma = _number(cfg, "n_sigma", 3.0)
+    crit = SelectionCriterion(bc.theta_in, bc.t_total, bc.theta_f,
+                              _number(cfg, "angular_window", 0.05))
+    times = np.unique(np.concatenate([t1, [t2, bc.t_total]]))
+    sub = select_polar(crit, bc.tau_m, times, _count(cfg), seed)
     rows = []
     ok = True
-    for kind in cfg.get("kinds", ["zz", "zx"]):
-        for t, ref in zip(t1, _exact_correlator(kind, t1, t2, bc)):
-            mc, se = correlate(sub, kind[0], kind[1], float(t), t2)
-            rows.append((float(t), t2, f"mc_{kind}", mc, se, sub.accepted_count, sub.total_count))
-            rows.append((float(t), t2, f"analytic_{kind}", ref, 0.0, 0, 0))
+    for kind in kinds:
+        for t, ref in zip(t1.tolist(), _exact_correlator(kind, t1, t2, bc).tolist()):
+            mc, se = correlate(sub, kind[0], kind[1], t, t2)
+            rows.append((t, t2, f"mc_{kind}", mc, se, sub.accepted_count, sub.total_count))
+            rows.append((t, t2, f"analytic_{kind}", ref, 0.0, 0, 0))
             if abs(mc - ref) > n_sigma * se:
                 ok = False
     csv = out / "compare.csv"
@@ -290,71 +266,68 @@ def _mode_compare(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
     return [csv.name], ok
 
 
-def _mode_simulate(cfg: dict, out: Path, seed: int) -> list[str]:
-    sim = _sim_config(_require(cfg, "sim"), seed)
-    sel_spec = cfg.get("selection")
+def _mode_simulate(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
+    sim = _sim_config(cfg, seed)
+    t1, t2 = _curve(cfg)
+    kinds = _kinds(cfg)
+    count = _count(cfg)
+    sel = cfg.get("selection")
+    default = {"theta_in": 0.0, "t_total": sim.t_final}
     try:
-        if sel_spec is None:
-            crit = SelectionCriterion(theta_in=0.0, t_total=sim.t_final)
-        else:
-            crit = SelectionCriterion(**sel_spec)
+        crit = SelectionCriterion(**(default if sel is None else sel))
     except TypeError as exc:
         raise ConfigError(f"invalid selection: {exc}") from None
     save = bool(cfg.get("save_ensemble", False))
-    ens = run_ensemble(sim, _count(cfg), keep_readouts=save)
+    ens = run_ensemble(sim, count, keep_readouts=save)
     outputs = []
     if save:
         path = out / "ensemble.npz"
         save_ensemble(path, ens)
         outputs.append(path.name)
     sub = select(ens, crit)
+    n = (sub.accepted_count, sub.total_count)
     rows = []
-    t1 = _grid(_require(cfg, "t1_grid"))
-    t2 = float(_require(cfg, "t2"))
-    for kind in cfg.get("kinds", ["zz", "zx", "xx"]):
-        for t in t1:
-            v, se = correlate(sub, kind[0], kind[1], float(t), t2)
-            rows.append((float(t), t2, kind, v, se, sub.accepted_count, sub.total_count))
-            cv, cse = covariance(sub, kind[0], kind[1], float(t), t2)
-            rows.append((float(t), t2, f"cov_{kind}", cv, cse, sub.accepted_count, sub.total_count))
-    for coord in ("x", "z"):
-        for t in t1:
-            v, se = covariance(sub, coord, coord, float(t), float(t))
-            rows.append((float(t), float(t), f"var_{coord}", v, se, sub.accepted_count, sub.total_count))
+    ts = t1.tolist()
+    for kind in kinds:
+        for t in ts:
+            rows.append((t, t2, kind, *correlate(sub, kind[0], kind[1], t, t2), *n))
+            rows.append((t, t2, f"cov_{kind}", *covariance(sub, kind[0], kind[1], t, t2), *n))
+    for c in ("x", "z"):
+        rows += [(t, t, f"var_{c}", *covariance(sub, c, c, t, t), *n) for t in ts]
     csv = out / "mc_correlators.csv"
     write_correlator_csv(csv, rows)
-    outputs.append(csv.name)
-    gp = out / "fig4.gp"
-    _write_plot_script(gp, "Monte Carlo covariances/variances", csv.name, ["1:4"])
-    outputs.append(gp.name)
-    return outputs
+    _write_plot_script(out / "fig4.gp", "Monte Carlo covariances/variances", csv.name, ["1:4"])
+    return outputs + [csv.name, "fig4.gp"], True
 
 
-def _mode_reconstruct(cfg: dict, out: Path, seed: int) -> list[str]:
+def _mode_reconstruct(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
     path = _require(cfg, "input")
     try:
         record, header = read_readout_records(path)
     except (ValueError, OSError) as exc:
         raise ConfigError(f"readout file: {exc}") from None
-    sim = _sim_config(_require(cfg, "sim"), seed)
+    sim = _sim_config(cfg, seed)
+    theta = _number(cfg, "initial_theta", None)
     # a field the header lacks is taken from the config alone
     for key, value in readout_header(sim).items():
         if header.get(key, value) != value:
             raise ConfigError(
                 f"readout file {path}: header {key}={header[key]!r}, sim config {key}={value!r}"
             )
-    q_in = (
-        polar_to_bloch(cfg["initial_theta"])
-        if "initial_theta" in cfg
-        else sim.initial_state
-    )
-    traj = reconstruct(record, q_in, sim)
+    kdt = sim.dt * np.arange(len(record.times))
+    off = np.flatnonzero(np.abs(record.times - kdt) > 1e-9 * np.maximum(1.0, kdt))
+    if off.size:
+        raise ConfigError(f"readout file {path}: time {record.times[off[0]]} at step {off[0]}"
+                          f" is not step * dt = {kdt[off[0]]}")
+    traj = reconstruct(record, sim.initial_state if theta is None else polar_to_bloch(theta), sim)
     path = out / "reconstructed_trajectory.csv"
-    with open_rewrite(path) as fh:
-        fh.write("t,x,y,z\n")
-        rows = zip(traj.times.tolist(), (q.tolist() for q in traj.states))
-        fh.writelines(f"{t!r},{x!r},{y!r},{z!r}\n" for t, (x, y, z) in rows)
-    return [path.name]
+    rows = ((t, *q.tolist()) for t, q in zip(traj.times.tolist(), traj.states))
+    write_table(path, "t,x,y,z", rows)
+    return [path.name], True
+
+
+_MODES = {"analytic": _mode_analytic, "fpe": _mode_fpe, "perturb": _mode_perturb,
+          "compare": _mode_compare, "simulate": _mode_simulate, "reconstruct": _mode_reconstruct}
 
 
 # ---------------------------------------------------------------------------
@@ -381,21 +354,9 @@ def run(config_path, seed=None, output=None) -> int:
         effective_seed = _campaign_seed(cfg, seed)
         out = Path(output or cfg.get("output_dir", "."))
         out.mkdir(parents=True, exist_ok=True)
-        gate_ok = True
-        if mode == "analytic":
-            outputs = _mode_analytic(cfg, out)
-        elif mode == "fpe":
-            outputs = _mode_fpe(cfg, out)
-        elif mode == "perturb":
-            outputs = _mode_perturb(cfg, out)
-        elif mode == "compare":
-            outputs, gate_ok = _mode_compare(cfg, out, effective_seed)
-        elif mode == "simulate":
-            outputs = _mode_simulate(cfg, out, effective_seed)
-        elif mode == "reconstruct":
-            outputs = _mode_reconstruct(cfg, out, effective_seed)
-        else:
+        if not isinstance(mode, str) or mode not in _MODES:
             raise ConfigError(f"unknown mode {mode!r}")
+        outputs, gate_ok = _MODES[mode](cfg, out, effective_seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,8 +1,8 @@
 """Shared domain types, parameter derivations and Bloch-sphere geometry.
 
 All types here are immutable value objects; every function apart from the
-file writer ``open_rewrite`` is pure, so the module is safe for unrestricted
-concurrent use.
+file writers ``open_rewrite`` and ``write_table`` is pure, so the module is
+safe for unrestricted concurrent use.
 """
 from __future__ import annotations
 
@@ -139,6 +139,25 @@ class SimConfig:
                 f"stability guard {MAX_DT_OVER_TAU}"
             )
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "SimConfig":
+        """Read what ``sde._config_to_dict`` writes, and a campaign's ``sim``
+        block, where ``initial_theta`` may stand for ``initial_state`` and
+        ``environment``, ``initial_state`` and ``rng_seed`` may be missing.
+        A missing field raises KeyError, a malformed one TypeError or DomainError."""
+        if "initial_theta" in d:
+            initial = polar_to_bloch(d["initial_theta"])
+        else:
+            initial = BlochState(*d.get("initial_state", (0.0, 0.0, 1.0)))
+        return cls(
+            channels=tuple(ChannelConfig(**c) for c in d["channels"]),
+            dt=d["dt"],
+            t_final=d["t_final"],
+            initial_state=initial,
+            environment=QubitEnvironment(**d.get("environment", {})),
+            rng_seed=d.get("rng_seed", 0),
+        )
+
     @property
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
@@ -162,3 +181,12 @@ def open_rewrite(path, mode: str = "w"):
     with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), mode) as fh:
         yield fh
         fh.truncate()
+
+
+def write_table(path, header: str, rows) -> None:
+    """Write ``header`` and then each row of Python floats as the ``repr`` of
+    its values joined by commas, the shortest text that reads back to the
+    same float.  ``rows`` may be a generator; it is consumed once."""
+    with open_rewrite(path) as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)

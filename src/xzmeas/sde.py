@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NORM_TOL, BlochState, ChannelConfig, QubitEnvironment, SimConfig, open_rewrite
+from .core import NORM_TOL, SimConfig, open_rewrite
 
 
 class IntegratorError(RuntimeError):
@@ -453,17 +453,6 @@ def _config_to_dict(cfg: SimConfig) -> dict:
     }
 
 
-def _config_from_dict(d: dict) -> SimConfig:
-    return SimConfig(
-        channels=tuple(ChannelConfig(**c) for c in d["channels"]),
-        dt=d["dt"],
-        t_final=d["t_final"],
-        initial_state=BlochState(*d["initial_state"]),
-        environment=QubitEnvironment(**d["environment"]),
-        rng_seed=d["rng_seed"],
-    )
-
-
 def save_ensemble(path, ens: Ensemble) -> None:
     """Write an ensemble to an .npz container; round-trips bit-exactly."""
     payload = {
@@ -485,7 +474,7 @@ def save_ensemble(path, ens: Ensemble) -> None:
 
 def load_ensemble(path) -> Ensemble:
     with np.load(path) as data:
-        cfg = _config_from_dict(json.loads(bytes(data["config_json"]).decode()))
+        cfg = SimConfig.from_dict(json.loads(bytes(data["config_json"]).decode()))
         return Ensemble(
             times=data["times"],
             states=data["states"],

@@ -7,6 +7,8 @@ import pytest
 from xzmeas import cli
 from xzmeas.analytic import BoundaryCondition, correlator_cond
 from xzmeas.estimator import read_correlator_csv
+from xzmeas.fpe import KernelParams, two_sided_density
+from xzmeas.perturb import TreeParams, cov_tree, mean_tree, var_tree
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -478,3 +480,111 @@ def test_emitted_csv_reparseable(tmp_path):
     assert cli.run(cfgp) == cli.EXIT_OK
     rows = read_correlator_csv(out / "analytic_correlators.csv")
     assert len(rows) == 15  # 3 kinds x 5 grid points
+
+
+def perturb_config(out):
+    return {"schema_version": 1, "mode": "perturb", "output_dir": str(out),
+            "theta_in": math.pi / 4, "gamma_x": 1.0, "gamma_z": 1.0, "eta_x": 0.05,
+            "eta_z": 0.05, "t1_grid": [0.5, 1.0, 2.0], "t2": 1.0}
+
+
+def fpe_config(out):
+    return {"schema_version": 1, "mode": "fpe", "output_dir": str(out),
+            "theta_in": math.pi / 4, "theta_f": 7 * math.pi / 8, "t_total": 3.5,
+            "tau_m": 1.0, "times": [0.5, 1.75, 3.0], "theta_points": 61}
+
+
+@pytest.mark.parametrize("mode, field, value", [
+    ("simulate", "t2", "a"), ("simulate", "kinds", ["z"]), ("simulate", "kinds", "zz"),
+    ("simulate", "t1_grid", 5),
+    ("analytic", "t2", "a"), ("analytic", "theta_in", "a"), ("analytic", "state_points", "a"),
+    ("analytic", "t1_grid", 5), ("analytic", "kinds", ["z"]),
+    ("compare", "n_sigma", "a"), ("compare", "angular_window", "a"), ("compare", "t2", "a"),
+    ("compare", "kinds", ["z"]),
+    ("fpe", "times", 5), ("fpe", "theta_points", "a"), ("fpe", "tau_m", "a"),
+    ("perturb", "gamma_x", "a"), ("perturb", "t2", "a"), ("perturb", "t1_grid", 5),
+    ("perturb", "kinds", ["z"]),
+    ("reconstruct", "initial_theta", "a"),
+])
+def test_malformed_field_exits_config(tmp_path, capsys, mode, field, value):
+    # all but the t1_grid of analytic and the kinds of analytic, compare and
+    # perturb escaped as a TypeError, ValueError or IndexError traceback, exit 1
+    out = tmp_path / "out"
+    make = {"simulate": simulate_config, "analytic": analytic_config, "fpe": fpe_config,
+            "perturb": perturb_config, "compare": lambda o: compare_config(o, count=100),
+            "reconstruct": lambda o: reconstruct_config(o, tmp_path / "readouts.txt")}
+    cfg = dict(make[mode](out), **{field: value})
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and field in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("steps, time, step", [
+    (slice(None), "7.0", 0),
+    (slice(20, 21), "0.2000001", 20),
+])
+def test_mode_reconstruct_checks_time_column(tmp_path, capsys, steps, time, step):
+    # a record whose time stamps were all rewritten to 7.0 replayed and exited 0
+    rec_path = tmp_path / "readouts.txt"
+    cfgp = write_config(tmp_path, reconstruct_config(tmp_path / "out", rec_path))
+    lines = rec_path.read_text().splitlines()
+    rows = lines[2:]
+    rows[steps] = [time + "," + row.split(",", 1)[1] for row in rows[steps]]
+    rec_path.write_text("\n".join(lines[:2] + rows) + "\n")
+    assert cli.run(cfgp) == cli.EXIT_CONFIG
+    assert f"time {float(time)!r} at step {step} is not step * dt" in capsys.readouterr().err
+
+
+# the modes evaluate the closed forms on whole grids; a value must not move
+# from what one call per point gives
+EXACT_CASES = [(0.5, 0.3, 1.1), (3.5, math.pi / 4, 7 * math.pi / 8), (10.0, 1.2, 2.0)]
+
+
+@pytest.mark.parametrize("t_total, theta_in, theta_f", EXACT_CASES)
+def test_perturb_rows_equal_per_point_calls(tmp_path, t_total, theta_in, theta_f):
+    out = tmp_path / "out"
+    cfg = dict(perturb_config(out), theta_in=theta_in, gamma_x=0.7, gamma_z=0.4,
+               eta_x=0.3, eta_z=0.55, t2=0.4 * t_total,
+               t1_grid={"start": 0.0, "stop": t_total, "num": 16})
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_OK
+    p = TreeParams(0.7, 0.4, 0.3, 0.55, math.sin(theta_in), math.cos(theta_in))
+    rows = read_correlator_csv(out / "perturb_correlators.csv")
+    assert len(rows) == 7 * 16
+    for t1, t2, kind, value, *_ in rows:
+        name, arg = kind.split("_")
+        if name == "cov":
+            assert value == cov_tree(arg, t1, t2, p)
+        else:
+            assert t1 == t2
+            assert value == {"var": var_tree, "mean": mean_tree}[name](arg, t1, p)
+
+
+@pytest.mark.parametrize("t_total, theta_in, theta_f", EXACT_CASES)
+def test_fpe_columns_equal_two_sided_density(tmp_path, t_total, theta_in, theta_f):
+    out = tmp_path / "out"
+    times = [0.01, 0.25 * t_total, 0.5 * t_total, t_total - 0.01]
+    cfg = dict(fpe_config(out), theta_in=theta_in, theta_f=theta_f, t_total=t_total,
+               times=times, theta_points=91)
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_OK
+    lines = (out / "fpe_density.csv").read_text().splitlines()
+    assert lines[0] == "theta," + ",".join(f"t={t!r}" for t in times)
+    cols = list(zip(*([float(v) for v in line.split(",")] for line in lines[1:])))
+    thetas = np.linspace(0.0, 2 * math.pi, 91)
+    assert list(cols[0]) == thetas.tolist()
+    bc = BoundaryCondition(theta_in, 1.0, theta_f, t_total)
+    for t, col in zip(times, cols[1:]):
+        assert list(col) == two_sided_density(thetas, t, bc, KernelParams.from_tau(1.0)).tolist()
+
+
+@pytest.mark.parametrize("t_total, theta_in, theta_f", EXACT_CASES)
+def test_analytic_state_norm_is_hypot(tmp_path, t_total, theta_in, theta_f):
+    out = tmp_path / "out"
+    cfg = dict(analytic_config(out), theta_in=theta_in, theta_f=theta_f, t_total=t_total,
+               t1_grid=[0.5 * t_total], t2=0.25 * t_total, state_points=41)
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_OK
+    lines = (out / "analytic_state.csv").read_text().splitlines()
+    assert lines[0] == "t,x,z,norm" and len(lines) == 42
+    for line in lines[1:]:
+        t, x, z, norm = map(float, line.split(","))
+        assert norm == math.hypot(x, z)
