@@ -53,10 +53,10 @@ class BoundaryCondition:
     def __post_init__(self):
         if not all(math.isfinite(a) for a in (self.theta_in, self.theta_f) if a is not None):
             raise DomainError("boundary angles must be finite")
-        if self.tau_m <= 0:
-            raise DomainError("tau_m must be positive")
-        if self.theta_f is not None and (self.t_total is None or self.t_total <= 0):
-            raise DomainError("post-selection requires t_total > 0")
+        if not self.tau_m > 0:  # negated tests so that NaN is rejected
+            raise DomainError(f"tau_m must be positive, got {self.tau_m}")
+        if not (self.t_total > 0 if self.t_total is not None else self.theta_f is None):
+            raise DomainError(f"t_total must be > 0 and set for post-selection, got {self.t_total}")
 
     @property
     def post_selected(self) -> bool:

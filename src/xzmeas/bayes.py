@@ -226,7 +226,8 @@ def reconstruct_batch(
     r_z: np.ndarray, r_x: np.ndarray, q_in: np.ndarray, cfg: SimConfig
 ) -> np.ndarray:
     """Replay of a batch.  r_z, r_x: (n_steps, m) readouts of the z and phi
-    channels.  Returns states of shape (n_steps + 1, m, 3).
+    channels.  Returns states of shape (n_steps + 1, m, 3), a transposed view
+    of the (n_steps + 1, 3, m) block the kernel writes row by row.
 
     Raises ReconstructionError naming the first step whose state is not a
     state (see ``_normalise``).
@@ -245,10 +246,10 @@ def reconstruct_batch(
     q_in = np.asarray(q_in, dtype=float)
     start = np.empty((4, chunks, m))
     start[:, 0] = _start(q_in[:, None], frames[0])
-    states = np.empty((chunks * span + 1, m, 3))
-    states[0] = q_in
+    states = np.empty((chunks * span + 1, 3, m))
+    states[0] = q_in[:, None]
     # steps[k, :, i] holds the states after step k of chunk i
-    steps = states[1:].reshape(chunks, span, m, 3).transpose(1, 3, 0, 2)
+    steps = states[1:].reshape(chunks, span, 3, m).transpose(1, 2, 0, 3)
     rows = np.empty((_BLOCK, 4, chunks, m))
     offsets = np.arange(_BLOCK)[:, None, None] + span * np.arange(chunks)[:, None]
     first = None
@@ -271,7 +272,7 @@ def reconstruct_batch(
             q = np.concatenate([np.ones((1, chunks, m)), rows[b - 1, 1:]])
     if first:
         raise ReconstructionError(first[1])
-    return states[:n + 1]
+    return states[:n + 1].transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -225,6 +225,8 @@ def _mode_fpe(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
 def _mode_perturb(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
     rates = [_number(cfg, k) for k in ("gamma_x", "gamma_z", "eta_x", "eta_z")]
     theta_in = _number(cfg, "theta_in")
+    if not math.isfinite(theta_in):  # TreeParams sees only its sine and cosine
+        raise ConfigError(f"theta_in must be finite, got {theta_in}")
     p = TreeParams(*rates, x_in=math.sin(theta_in), z_in=math.cos(theta_in))
     t1, t2 = _curve(cfg)
     ts = t1.tolist()

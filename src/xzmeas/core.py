@@ -50,8 +50,8 @@ def measurement_time(gamma: float, eta: float) -> float:
     ``gamma`` is the ensemble-averaged dephasing rate of the channel and
     ``eta`` its quantum efficiency in (0, 1].
     """
-    if gamma <= 0:
-        raise DomainError(f"dephasing rate must be positive, got {gamma}")
+    if not gamma > 0:  # negated so that NaN is rejected, as below
+        raise DomainError(f"dephasing rate gamma must be positive, got {gamma}")
     if not 0 < eta <= 1:
         raise DomainError(f"efficiency must lie in (0, 1], got {eta}")
     return 1.0 / (2.0 * gamma * eta)
@@ -81,6 +81,8 @@ class ChannelConfig:
     eta: float = 1.0
 
     def __post_init__(self):
+        if not math.isfinite(self.axis_angle):
+            raise DomainError(f"axis_angle must be finite, got {self.axis_angle}")
         # delegates range checks
         measurement_time(self.gamma, self.eta)
 
@@ -103,8 +105,9 @@ class QubitEnvironment:
     depolarization_rate: float = 0.0
 
     def __post_init__(self):
-        if self.depolarization_rate < 0:
-            raise DomainError("depolarization rate must be >= 0")
+        if not (math.isfinite(self.rabi_detuning) and 0 <= self.depolarization_rate < math.inf):
+            raise DomainError(f"rabi_detuning {self.rabi_detuning} must be finite and "
+                              f"depolarization_rate {self.depolarization_rate} finite and >= 0")
 
 
 #: stability guard on the Euler-Maruyama step
@@ -127,10 +130,12 @@ class SimConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise DomainError("dt must be positive")
+        if len(self.channels) != 2:
+            raise DomainError(f"channels must be a (z, phi) pair, got {len(self.channels)}")
+        if not self.dt > 0:
+            raise DomainError(f"dt must be positive, got {self.dt}")
         n = self.t_final / self.dt
-        if self.t_final <= 0 or abs(n - round(n)) > 1e-9 * max(1.0, n):
+        if not 0 < self.t_final < math.inf or abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise DomainError("t_final must be a positive integer multiple of dt")
         worst = max(1.0 / c.tau for c in self.channels)
         if self.dt * worst > MAX_DT_OVER_TAU + 1e-12:

@@ -102,14 +102,15 @@ def _horizon(times: np.ndarray, crit: SelectionCriterion) -> int:
 
 
 def select(ens, crit: SelectionCriterion) -> SubEnsemble:
-    """Sub-ensemble of trajectories meeting the post-selection criterion."""
+    """Sub-ensemble of trajectories meeting the post-selection criterion;
+    its states are a view of ``ens.states`` when every member is kept."""
     times = np.asarray(ens.times)
     states = np.asarray(ens.states)
     idx = _horizon(times, crit)
     keep = _accepted(states[:, idx, :], crit)
     return SubEnsemble(
         times=times[: idx + 1],
-        states=states[keep, : idx + 1, :],
+        states=states[:, : idx + 1, :] if keep.all() else states[keep, : idx + 1, :],
         accepted_count=int(np.count_nonzero(keep)),
         total_count=states.shape[0],
     )

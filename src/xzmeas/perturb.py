@@ -34,12 +34,12 @@ class TreeParams:
     z_in: float
 
     def __post_init__(self):
-        if self.gamma_x <= 0 or self.gamma_z <= 0:
-            raise DomainError("rates must be positive")
+        if not (self.gamma_x > 0 and self.gamma_z > 0):  # negated so that NaN fails, as below
+            raise DomainError(f"rates gamma_x {self.gamma_x}, gamma_z {self.gamma_z} must be > 0")
         if not (0 <= self.eta_x <= 1 and 0 <= self.eta_z <= 1):
             raise DomainError("efficiencies must lie in [0, 1]")
-        if self.x_in**2 + self.z_in**2 > 1 + 1e-12:
-            raise DomainError("initial coordinates must lie inside the circle")
+        if not self.x_in**2 + self.z_in**2 <= 1 + 1e-12:
+            raise DomainError(f"initial coordinates {self.x_in}, {self.z_in} must lie in the disc")
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,10 @@ re-keys it per stream by assigning its state, rather than building a generator
 per stream; the draws equal those of a new Philox under that key.  An
 ensemble fills each chunk's streams on every usable CPU, and is reproducible
 regardless of execution order, chunking or CPU count.
+
+Storage: an ensemble is held as the kernel writes it, (time, coordinate,
+member) blocks whose rows are contiguous across members; its (member, ...)
+arrays are transposed views of those blocks.
 """
 from __future__ import annotations
 
@@ -70,7 +74,8 @@ class Ensemble:
     """Stacked trajectories sharing one SimConfig.
 
     ``states`` has shape (count, n_steps + 1, 3); optional readouts have shape
-    (count, n_steps).
+    (count, n_steps).  From ``run_ensemble`` they are transposed views of
+    (n_steps + 1, 3, count) and (n_steps, 2, count) blocks, not C-contiguous.
     """
 
     times: np.ndarray
@@ -300,8 +305,8 @@ def run_ensemble(cfg: SimConfig, count: int, keep_readouts: bool = True,
         raise ValueError("count must be >= 1")
     n = cfg.n_steps
     base = stream_offset
-    states = np.empty((count, n + 1, 3))
-    readouts = np.empty((2, count, n)) if keep_readouts else None
+    states = np.empty((n + 1, 3, count))
+    readouts = np.empty((n, 2, count)) if keep_readouts else None
     q0 = cfg.initial_state.as_array()[:, None]
 
     def fill(xi, first, j0, j1, errors) -> None:
@@ -329,21 +334,20 @@ def run_ensemble(cfg: SimConfig, count: int, keep_readouts: bool = True,
             worker.join()
         if errors:
             raise errors[0]
-        out = None if readouts is None else readouts[:, lo:hi].transpose(2, 0, 1)
+        out = None if readouts is None else readouts[:, :, lo:hi]
         try:
-            _propagate(np.repeat(q0, hi - lo, axis=1), xi, cfg,
-                       states[lo:hi].transpose(1, 2, 0), out)
+            _propagate(np.repeat(q0, hi - lo, axis=1), xi, cfg, states[:, :, lo:hi], out)
         except IntegratorError as exc:
             raise IntegratorError(
                 f"{exc} (streams {base + lo}..{base + hi - 1})"
             ) from exc
     return Ensemble(
         times=cfg.times,
-        states=states,
+        states=states.transpose(2, 0, 1),
         config=cfg,
         stream_ids=np.arange(base, base + count),
-        r_z=None if readouts is None else readouts[0],
-        r_phi=None if readouts is None else readouts[1],
+        r_z=None if readouts is None else readouts[:, 0].T,
+        r_phi=None if readouts is None else readouts[:, 1].T,
     )
 
 

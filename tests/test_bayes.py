@@ -375,6 +375,28 @@ def test_replay_matches_density_matrix_kraus_chain(eta, phi):
     assert np.abs(lane - wide[:, 37:38]).max() <= 1e-13
 
 
+@pytest.mark.parametrize("m", [1, 100, 300])
+def test_batch_lanes_equal_records_replayed_alone(m):
+    # 1000 steps: one record is scanned in 31 chunks, 100 in 3, and 300 are
+    # replayed plainly.  Chunk plans round differently, so a record is
+    # replayed alone at the batch's plan: as every lane of a batch of m
+    # copies of it.  Lanes never mix, so its lane must match bit for bit.
+    cfg = ideal_xz_config(t_final=10.0, seed=8)
+    ens = sde.run_ensemble(cfg, m)
+    r_z, r_x = ens.r_z.T, ens.r_phi.T
+    q_in = cfg.initial_state.as_array()
+    batch = reconstruct_batch(r_z, r_x, q_in, cfg)
+    assert batch.shape == (1001, m, 3)
+    for j in sorted({0, m // 3, m - 1}):
+        alone = reconstruct_batch(np.repeat(r_z[:, j:j + 1], m, axis=1),
+                                  np.repeat(r_x[:, j:j + 1], m, axis=1), q_in, cfg)
+        assert np.array_equal(batch[:, j], alone[:, 0])
+        assert np.array_equal(alone, np.repeat(alone[:, :1], m, axis=1))
+    if m == 1:
+        record = sde.ReadoutRecord(ens.times[:-1], ens.r_z[0], ens.r_phi[0])
+        assert np.array_equal(batch[:, 0], reconstruct(record, cfg.initial_state, cfg).states)
+
+
 def test_replay_of_empty_record_is_initial_state():
     cfg = ideal_xz_config(t_final=0.1)
     q_in = cfg.initial_state.as_array()

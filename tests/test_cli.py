@@ -154,6 +154,45 @@ def test_compare_nan_theta_f_exits_config(tmp_path, capsys):
     assert "angles must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode, where, field", [
+    ("perturb", "", "theta_in"), ("perturb", "", "gamma_x"),
+    ("analytic", "", "tau_m"), ("analytic", "", "t_total"),
+    ("compare", "", "t_total"),  # with theta_f null, as t_total is the horizon
+    ("simulate", "sim", "dt"), ("simulate", "sim", "t_final"),
+    ("simulate", "sim.channels.1", "gamma"), ("simulate", "sim.channels.1", "axis_angle"),
+    ("simulate", "sim.environment", "depolarization_rate"),
+    ("simulate", "sim.environment", "rabi_detuning"),
+])
+def test_nan_field_exits_config(tmp_path, capsys, mode, where, field):
+    # unchecked, perturb and analytic wrote NaN tables with exit 0, a NaN dt
+    # or t_final escaped as a ValueError traceback from round, and a NaN rate
+    # or angle of a sim ran on NaN states
+    out = tmp_path / "out"
+    make = {"simulate": simulate_config, "analytic": analytic_config, "perturb": perturb_config,
+            "compare": lambda o: dict(compare_config(o, count=100), theta_f=None)}
+    cfg = make[mode](out)
+    if mode == "simulate":
+        cfg["sim"]["environment"] = {"rabi_detuning": 0.1, "depolarization_rate": 0.1}
+    node = cfg
+    for key in filter(None, where.split(".")):
+        node = node[int(key) if key.isdigit() else key]
+    node[field] = math.nan
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and field in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+def test_simulate_needs_a_channel_pair(tmp_path, capsys, channels):
+    # unchecked, one channel gave an IndexError and three a broadcasting
+    # ValueError, both as tracebacks
+    cfg = simulate_config(tmp_path / "out")
+    cfg["sim"]["channels"] = [{"axis_angle": 0.0, "gamma": 0.5}] * channels
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_CONFIG
+    assert f"channels must be a (z, phi) pair, got {channels}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("count", [0, -5, 2.5, True])
 @pytest.mark.parametrize("mode", ["compare", "simulate"])
 def test_count_must_be_positive_integer(tmp_path, capsys, mode, count):

@@ -35,6 +35,8 @@ def test_measurement_time_domain():
         measurement_time(1.0, 0.0)
     with pytest.raises(DomainError):
         measurement_time(1.0, 1.5)
+    with pytest.raises(DomainError, match="gamma"):
+        measurement_time(math.nan, 0.5)
 
 
 def test_polar_to_bloch_periodic(rng):
@@ -91,6 +93,9 @@ def test_environment_validation():
     QubitEnvironment(0.1, 0.0)
     with pytest.raises(DomainError):
         QubitEnvironment(0.0, -0.1)
+    for rates in ((math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(DomainError):
+            QubitEnvironment(*rates)
 
 
 def _channels():
@@ -103,6 +108,11 @@ def test_sim_config_grid_validation():
         SimConfig(_channels(), dt=-0.01, t_final=1.0)
     with pytest.raises(DomainError):
         SimConfig(_channels(), dt=0.03, t_final=1.0)  # not a multiple
+    for dt, t_final in ((math.nan, 1.0), (0.01, math.nan), (0.01, math.inf)):
+        with pytest.raises(DomainError):
+            SimConfig(_channels(), dt=dt, t_final=t_final)
+    with pytest.raises(DomainError, match="axis_angle"):
+        ChannelConfig(math.nan, 0.5, 1.0)
 
 
 def test_sim_config_stability_guard():

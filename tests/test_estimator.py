@@ -48,6 +48,16 @@ def test_select_angular_window(ens):
     assert sub.acceptance_rate == sub.accepted_count / ens.total_count
 
 
+def test_select_keeping_every_member_is_a_view(ens):
+    # without theta_f every member is kept; a copy of the states would double
+    # a campaign's peak memory
+    sub = select(ens, SelectionCriterion(theta_in=math.pi / 4, t_total=2.0))
+    idx = int(np.argmin(np.abs(TIMES - 2.0)))
+    assert sub.accepted_count == sub.total_count == ens.total_count
+    assert np.shares_memory(sub.states, ens.states)
+    assert np.array_equal(sub.states, ens.states[:, :idx + 1])
+
+
 def test_select_window_wraps_windings(ens):
     # angles are unwrapped; selection must treat theta_f modulo 2 pi
     crit = SelectionCriterion(

@@ -134,6 +134,9 @@ def test_tree_params_validation():
         TreeParams(1.0, 1.0, 1.5, 0.1, 0.0, 1.0)
     with pytest.raises(DomainError):
         TreeParams(1.0, 1.0, 0.1, 0.1, 1.0, 1.0)
+    for gamma_x, gamma_z, x_in in ((math.nan, 1.0, 0.0), (1.0, math.nan, 0.0), (1.0, 1.0, math.nan)):
+        with pytest.raises(DomainError):
+            TreeParams(gamma_x, gamma_z, 0.1, 0.1, x_in, 1.0)
 
 
 def test_full_correlator_matches_mc_at_low_efficiency():

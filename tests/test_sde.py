@@ -353,6 +353,21 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
     assert back.config == ens.config
 
 
+@pytest.mark.parametrize("count, chunk", [(1, 5000), (22, 7)])
+def test_saved_views_equal_saved_contiguous_copies(tmp_path, monkeypatch, count, chunk):
+    # run_ensemble hands out transposed views of its (time, coordinate,
+    # member) blocks; they must be saved in C order, byte for byte as C
+    # copies, never with fortran_order.  22 members in chunks of 7 end on a
+    # chunk of one.
+    ens = _run_with(monkeypatch, ideal_xz_config(t_final=0.2, seed=4), count, chunk=chunk, cpus=2)
+    copies = dataclasses.replace(
+        ens, **{k: np.ascontiguousarray(getattr(ens, k)) for k in ("states", "r_z", "r_phi")})
+    save_ensemble(tmp_path / "views.npz", ens)
+    save_ensemble(tmp_path / "copies.npz", copies)
+    assert (tmp_path / "views.npz").read_bytes() == (tmp_path / "copies.npz").read_bytes()
+    assert not ens.r_z.flags.c_contiguous  # the views are what was saved
+
+
 def test_polar_ensemble_statistics():
     times = np.array([0.5, 1.0, 2.0])
     th = polar_ensemble(0.3, 1.0, times, 200_000, seed=11)
