@@ -12,6 +12,7 @@ import pathlib
 import numpy as np
 
 from xzmeas.analytic import BoundaryCondition, correlator_cond, subens_avg_state
+from xzmeas.core import write_table
 from xzmeas.estimator import SelectionCriterion, correlate, select_polar
 
 THETA_IN = math.pi / 4
@@ -24,9 +25,9 @@ def bridge_curves():
     rows = []
     for t_total in (1.0, 3.5, 10.0):
         bc = BoundaryCondition(THETA_IN, TAU, THETA_F, t_total)
-        for t in np.linspace(0.0, t_total, 101):
-            q = subens_avg_state(float(t), bc)
-            rows.append((t_total, float(t), q.x, q.z))
+        ts = np.linspace(0.0, t_total, 101)
+        q = subens_avg_state(ts, bc)
+        rows += [(t_total, t, x, z) for t, (x, _, z) in zip(ts.tolist(), q.tolist())]
     return rows
 
 
@@ -38,25 +39,18 @@ def mc_correlators(t_total=3.5, t2=1.75, count=200_000, window=0.05, seed=2):
     bc = BoundaryCondition(THETA_IN, TAU, THETA_F, t_total)
     rows = []
     for kind in ("zz", "zx", "xx"):
-        for t1 in t1_grid:
-            mc, se = correlate(sub, kind[0], kind[1], float(t1), t2)
-            exact = correlator_cond(kind, float(t1), t2, bc)
-            rows.append((kind, float(t1), exact, mc, se))
+        mc, se = correlate(sub, kind[0], kind[1], t1_grid, t2)
+        exact = correlator_cond(kind, t1_grid, t2, bc)
+        curves = (t1_grid, exact, mc, se)
+        rows += [(kind, *r) for r in zip(*(v.tolist() for v in curves))]
     return sub.acceptance_rate, rows
 
 
 def main():
     OUT.mkdir(parents=True, exist_ok=True)
-    with open(OUT / "bridge_state.csv", "w") as fh:
-        fh.write("t_total,t,x,z\n")
-        for row in bridge_curves():
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
+    write_table(OUT / "bridge_state.csv", "t_total,t,x,z", bridge_curves())
     rate, rows = mc_correlators()
-    with open(OUT / "correlators.csv", "w") as fh:
-        fh.write("kind,t1,exact,mc,std_error\n")
-        for kind, t1, exact, mc, se in rows:
-            fh.write(f"{kind},{t1!r},{exact!r},{mc!r},{se!r}\n")
+    write_table(OUT / "correlators.csv", "kind,t1,exact,mc,std_error", rows)
 
     print(f"post-selection acceptance rate: {100 * rate:.2f}%")
     print(f"{'kind':<5} {'t1':>6} {'exact':>10} {'mc':>10} {'se':>8}")

@@ -13,7 +13,7 @@ import pathlib
 import numpy as np
 
 from xzmeas.bayes import reconstruct_batch
-from xzmeas.core import ChannelConfig, QubitEnvironment, SimConfig, polar_to_bloch
+from xzmeas.core import ChannelConfig, QubitEnvironment, SimConfig, polar_to_bloch, write_table
 from xzmeas.estimator import SubEnsemble, covariance
 from xzmeas.perturb import TreeParams, cov_tree
 from xzmeas.sde import run_ensemble
@@ -53,17 +53,12 @@ def main():
     p = TreeParams(gamma_x=gamma, gamma_z=gamma, eta_x=0.41, eta_z=0.54,
                    x_in=math.sin(THETA_IN), z_in=math.cos(THETA_IN))
 
-    rows = []
-    for t1 in t_grid:
-        c_sde, se_sde = covariance(sde_sub, "z", "x", float(t1), t2)
-        c_bay, se_bay = covariance(bay_sub, "z", "x", float(t1), t2)
-        tree = float(cov_tree("zx", float(t1), t2, p))
-        rows.append((float(t1), c_sde, se_sde, c_bay, se_bay, tree))
-
-    with open(OUT / "covariances.csv", "w") as fh:
-        fh.write("t1,cov_zx_sde,se_sde,cov_zx_bayes,se_bayes,cov_zx_tree\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    cov_sde = covariance(sde_sub, "z", "x", t_grid, t2)
+    cov_bay = covariance(bay_sub, "z", "x", t_grid, t2)
+    tree = cov_tree("zx", t_grid, t2, p)
+    rows = list(zip(*(v.tolist() for v in (t_grid, *cov_sde, *cov_bay, tree))))
+    write_table(OUT / "covariances.csv",
+                "t1,cov_zx_sde,se_sde,cov_zx_bayes,se_bayes,cov_zx_tree", rows)
 
     print(f"{'t1 (us)':>8} {'sde':>10} {'bayes':>10} {'tree':>10}")
     for t1, c_sde, _, c_bay, _, tree in rows:

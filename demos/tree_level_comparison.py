@@ -11,7 +11,7 @@ import pathlib
 
 import numpy as np
 
-from xzmeas.core import ChannelConfig, QubitEnvironment, SimConfig, polar_to_bloch
+from xzmeas.core import ChannelConfig, QubitEnvironment, SimConfig, polar_to_bloch, write_table
 from xzmeas.estimator import SubEnsemble, covariance
 from xzmeas.perturb import TreeParams, cov_tree, var_tree
 from xzmeas.sde import run_ensemble
@@ -46,18 +46,13 @@ def main():
         p = TreeParams(gamma_x=1.0, gamma_z=1.0, eta_x=eta, eta_z=eta,
                        x_in=math.sin(THETA_IN), z_in=math.cos(THETA_IN))
         sub = mc_snapshots(eta, 20_000, t_grid)
-        for t in t_grid[1:]:
-            c_mc, c_se = covariance(sub, "z", "x", float(t), float(t))
-            v_mc, v_se = covariance(sub, "z", "z", float(t), float(t))
-            rows.append((eta, float(t),
-                         float(cov_tree("zx", float(t), float(t), p)), c_mc, c_se,
-                         float(var_tree("z", float(t), p)), v_mc, v_se))
+        ts = t_grid[1:]
+        curves = (cov_tree("zx", ts, ts, p), *covariance(sub, "z", "x", ts, ts),
+                  var_tree("z", ts, p), *covariance(sub, "z", "z", ts, ts))
+        rows += [(eta, *r) for r in zip(ts.tolist(), *(v.tolist() for v in curves))]
 
-    with open(OUT / "comparison.csv", "w") as fh:
-        fh.write("eta,t,cov_zx_tree,cov_zx_mc,cov_zx_se,"
-                 "var_z_tree,var_z_mc,var_z_se\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_table(OUT / "comparison.csv", "eta,t,cov_zx_tree,cov_zx_mc,cov_zx_se,"
+                "var_z_tree,var_z_mc,var_z_se", rows)
 
     print(f"{'eta':>5} {'t':>5} {'cov tree':>10} {'cov mc':>10} "
           f"{'var tree':>10} {'var mc':>10}")

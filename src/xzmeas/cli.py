@@ -254,15 +254,16 @@ def _mode_compare(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
                               _number(cfg, "angular_window", 0.05))
     times = np.unique(np.concatenate([t1, [t2, bc.t_total]]))
     sub = select_polar(crit, bc.tau_m, times, _count(cfg), seed)
+    n = (sub.accepted_count, sub.total_count)
     rows = []
     ok = True
     for kind in kinds:
-        for t, ref in zip(t1.tolist(), _exact_correlator(kind, t1, t2, bc).tolist()):
-            mc, se = correlate(sub, kind[0], kind[1], t, t2)
-            rows.append((t, t2, f"mc_{kind}", mc, se, sub.accepted_count, sub.total_count))
-            rows.append((t, t2, f"analytic_{kind}", ref, 0.0, 0, 0))
-            if abs(mc - ref) > n_sigma * se:
-                ok = False
+        ref = _exact_correlator(kind, t1, t2, bc)
+        mc, se = correlate(sub, kind[0], kind[1], t1, t2)
+        if np.any(np.abs(mc - ref) > n_sigma * se):
+            ok = False
+        for t, m, s, r in zip(t1.tolist(), mc.tolist(), se.tolist(), ref.tolist()):
+            rows += [(t, t2, f"mc_{kind}", m, s, *n), (t, t2, f"analytic_{kind}", r, 0.0, 0, 0)]
     csv = out / "compare.csv"
     write_correlator_csv(csv, rows)
     return [csv.name], ok
@@ -291,11 +292,13 @@ def _mode_simulate(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
     rows = []
     ts = t1.tolist()
     for kind in kinds:
-        for t in ts:
-            rows.append((t, t2, kind, *correlate(sub, kind[0], kind[1], t, t2), *n))
-            rows.append((t, t2, f"cov_{kind}", *covariance(sub, kind[0], kind[1], t, t2), *n))
+        curves = (*correlate(sub, kind[0], kind[1], t1, t2),
+                  *covariance(sub, kind[0], kind[1], t1, t2))
+        for t, m, s, c, cs in zip(ts, *(v.tolist() for v in curves)):
+            rows += [(t, t2, kind, m, s, *n), (t, t2, f"cov_{kind}", c, cs, *n)]
     for c in ("x", "z"):
-        rows += [(t, t, f"var_{c}", *covariance(sub, c, c, t, t), *n) for t in ts]
+        var, se = covariance(sub, c, c, t1, t1)
+        rows += [(t, t, f"var_{c}", v, s, *n) for t, v, s in zip(ts, var.tolist(), se.tolist())]
     csv = out / "mc_correlators.csv"
     write_correlator_csv(csv, rows)
     _write_plot_script(out / "fig4.gp", "Monte Carlo covariances/variances", csv.name, ["1:4"])

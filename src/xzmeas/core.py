@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -146,7 +146,7 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimConfig":
-        """Read what ``sde._config_to_dict`` writes, and a campaign's ``sim``
+        """Read what ``to_dict`` writes, and a campaign's ``sim``
         block, where ``initial_theta`` may stand for ``initial_state`` and
         ``environment``, ``initial_state`` and ``rng_seed`` may be missing.
         A missing field raises KeyError, a malformed one TypeError or DomainError."""
@@ -162,6 +162,11 @@ class SimConfig:
             environment=QubitEnvironment(**d.get("environment", {})),
             rng_seed=d.get("rng_seed", 0),
         )
+
+    def to_dict(self) -> dict:
+        """Every field, as ``from_dict`` reads it back; ready for ``json.dumps``."""
+        q = self.initial_state
+        return {**asdict(self), "initial_state": [q.x, q.y, q.z]}
 
     @property
     def n_steps(self) -> int:
@@ -189,9 +194,10 @@ def open_rewrite(path, mode: str = "w"):
 
 
 def write_table(path, header: str, rows) -> None:
-    """Write ``header`` and then each row of Python floats as the ``repr`` of
-    its values joined by commas, the shortest text that reads back to the
-    same float.  ``rows`` may be a generator; it is consumed once."""
+    """Write ``header`` and then each row of Python values as their ``str``
+    joined by commas; for a float that is its ``repr``, the shortest text that
+    reads back to the same float.  ``rows`` may be a generator; it is
+    consumed once."""
     with open_rewrite(path) as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)

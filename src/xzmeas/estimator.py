@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, open_rewrite
+from .core import DomainError, write_table
 from .sde import _philox, polar_bridge, polar_ensemble, polar_states
 
 _COORD = {"x": 0, "y": 1, "z": 2}
@@ -68,11 +68,16 @@ class SubEnsemble:
         return self.accepted_count / self.total_count
 
 
-def _snap_index(times: np.ndarray, t: float) -> int:
-    idx = int(np.argmin(np.abs(times - t)))
-    dt = times[1] - times[0] if len(times) > 1 else np.inf
-    if abs(times[idx] - t) > dt / 2 + 1e-12 * max(1.0, abs(t)):
-        raise DomainError(f"time {t} lies outside the stored grid")
+def _snap_index(times: np.ndarray, t):
+    """Index of the stored time nearest each of ``t`` (any shape).  A time
+    farther than half the grid's smallest spacing from every stored time,
+    or NaN, raises DomainError; on a uniform grid that is dt/2."""
+    t = np.asarray(t, dtype=float)
+    idx = np.argmin(np.abs(times - t[..., None]), axis=-1)
+    half = np.diff(times).min() / 2 if len(times) > 1 else np.inf
+    off = ~(np.abs(times[idx] - t) <= half + 1e-12 * np.maximum(1.0, np.abs(t)))
+    if off.any():
+        raise DomainError(f"time {t[off][0]} lies outside the stored grid")
     return idx
 
 
@@ -98,7 +103,7 @@ def _horizon(times: np.ndarray, crit: SelectionCriterion) -> int:
     """Index of the stored time nearest the selection horizon t_total."""
     if times[-1] < crit.t_total - 1e-12:
         raise DomainError("ensemble is shorter than the selection horizon")
-    return _snap_index(times, crit.t_total)
+    return int(_snap_index(times, crit.t_total))
 
 
 def select(ens, crit: SelectionCriterion) -> SubEnsemble:
@@ -232,52 +237,53 @@ def select_polar(crit: SelectionCriterion, tau_m: float, times, count: int,
     )
 
 
-def _column(sub: SubEnsemble, a: str, t: float) -> np.ndarray:
-    """Coordinate ``a`` of every member at the stored time nearest ``t``."""
+def _rows(sub: SubEnsemble, a: str, t) -> np.ndarray:
+    """Coordinate ``a`` of every member at the stored times nearest ``t``, as
+    C-contiguous rows of shape ``t.shape + (members,)``.  A row-wise numpy
+    reduction over such rows rounds as the 1-D one over each row does."""
     if a not in _COORD:
         raise DomainError(f"unknown coordinate {a!r}; expected x, y or z")
-    return sub.states[:, _snap_index(sub.times, t), _COORD[a]]
+    return np.ascontiguousarray(sub.states[..., _COORD[a]].T[_snap_index(sub.times, t)])
 
 
-def _mean_se(vals: np.ndarray) -> tuple[float, float]:
-    n = len(vals)
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n >= 2 else float("nan")
-    return mean, se
+def _result(value, se):
+    """Python floats for scalar times, ndarrays for arrays of them."""
+    return (value, se) if np.ndim(value) else (float(value), float(se))
 
 
-def correlate(sub: SubEnsemble, a: str, b: str, t1: float, t2: float):
-    """Sample mean of a(t1)*b(t2) over the sub-ensemble, with its SE."""
+def correlate(sub: SubEnsemble, a: str, b: str, t1, t2):
+    """Sample mean of a(t1)*b(t2) over the sub-ensemble, with its SE.
+
+    ``t1`` and ``t2`` broadcast against each other; scalar times give
+    Python floats, arrays of them ndarrays of the broadcast shape.
+    """
     if sub.accepted_count < 2:
         raise DomainError("need at least 2 accepted trajectories")
-    return _mean_se(_column(sub, a, t1) * _column(sub, b, t2))
+    prod = _rows(sub, a, t1) * _rows(sub, b, t2)
+    n = prod.shape[-1]
+    return _result(np.mean(prod, axis=-1), np.std(prod, ddof=1, axis=-1) / math.sqrt(n))
 
 
-def covariance(sub: SubEnsemble, a: str, b: str, t1: float, t2: float):
-    """Unbiased sample covariance of a(t1) and b(t2), with its SE."""
+def covariance(sub: SubEnsemble, a: str, b: str, t1, t2):
+    """Unbiased sample covariance of a(t1) and b(t2), with its SE; ``t1``
+    and ``t2`` broadcast as in ``correlate``."""
     if sub.accepted_count < 2:
         raise DomainError("need at least 2 accepted trajectories")
-    va, vb = _column(sub, a, t1), _column(sub, b, t2)
-    da = va - va.mean()
-    db = vb - vb.mean()
-    n = len(va)
-    cov = float(np.dot(da, db) / (n - 1))
-    se = float(np.std(da * db, ddof=1) / math.sqrt(n))
-    return cov, se
+    va, vb = _rows(sub, a, t1), _rows(sub, b, t2)
+    da = va - va.mean(axis=-1, keepdims=True)
+    db = vb - vb.mean(axis=-1, keepdims=True)
+    n = va.shape[-1]
+    cov = np.vecdot(da, db) / (n - 1)
+    return _result(cov, np.std(da * db, ddof=1, axis=-1) / math.sqrt(n))
+
+
+_CSV_HEADER = "t1,t2,kind,value,std_error,accepted,total"
 
 
 def write_correlator_csv(path, rows) -> None:
-    """CSV with columns (t1, t2, kind, value, std_error, accepted, total).
-
-    Rows are written in the order given; callers pass a deterministic order.
-    """
-    with open_rewrite(path) as fh:
-        fh.write("t1,t2,kind,value,std_error,accepted,total\n")
-        for t1, t2, kind, value, se, acc, tot in rows:
-            fh.write(
-                f"{float(t1)!r},{float(t2)!r},{kind},"
-                f"{float(value)!r},{float(se)!r},{int(acc)},{int(tot)}\n"
-            )
+    """CSV with columns (t1, t2, kind, value, std_error, accepted, total),
+    one row per tuple of Python values, in the order given."""
+    write_table(path, _CSV_HEADER, rows)
 
 
 def read_correlator_csv(path) -> list[tuple]:
@@ -285,21 +291,12 @@ def read_correlator_csv(path) -> list[tuple]:
     rows = []
     with open(path) as fh:
         header = fh.readline().strip()
-        if header != "t1,t2,kind,value,std_error,accepted,total":
+        if header != _CSV_HEADER:
             raise ValueError(f"{path}:1: unexpected header {header!r}")
         for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             if len(parts) != 7:
                 raise ValueError(f"{path}:{lineno}: expected 7 columns")
-            rows.append(
-                (
-                    float(parts[0]),
-                    float(parts[1]),
-                    parts[2],
-                    float(parts[3]),
-                    float(parts[4]),
-                    int(parts[5]),
-                    int(parts[6]),
-                )
-            )
+            t1, t2, kind, value, se, acc, tot = parts
+            rows.append((float(t1), float(t2), kind, float(value), float(se), int(acc), int(tot)))
     return rows

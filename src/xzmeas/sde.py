@@ -440,23 +440,6 @@ def polar_states(thetas: np.ndarray) -> np.ndarray:
 # persistence
 # ---------------------------------------------------------------------------
 
-def _config_to_dict(cfg: SimConfig) -> dict:
-    return {
-        "channels": [
-            {"axis_angle": c.axis_angle, "gamma": c.gamma, "eta": c.eta}
-            for c in cfg.channels
-        ],
-        "dt": cfg.dt,
-        "t_final": cfg.t_final,
-        "initial_state": [cfg.initial_state.x, cfg.initial_state.y, cfg.initial_state.z],
-        "environment": {
-            "rabi_detuning": cfg.environment.rabi_detuning,
-            "depolarization_rate": cfg.environment.depolarization_rate,
-        },
-        "rng_seed": cfg.rng_seed,
-    }
-
-
 def save_ensemble(path, ens: Ensemble) -> None:
     """Write an ensemble to an .npz container; round-trips bit-exactly."""
     payload = {
@@ -464,7 +447,7 @@ def save_ensemble(path, ens: Ensemble) -> None:
         "states": ens.states,
         "stream_ids": ens.stream_ids,
         "config_json": np.frombuffer(
-            json.dumps(_config_to_dict(ens.config), sort_keys=True).encode(), np.uint8
+            json.dumps(ens.config.to_dict(), sort_keys=True).encode(), np.uint8
         ),
     }
     if ens.r_z is not None:

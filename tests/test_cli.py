@@ -6,7 +6,7 @@ import pytest
 
 from xzmeas import cli
 from xzmeas.analytic import BoundaryCondition, correlator_cond
-from xzmeas.estimator import read_correlator_csv
+from xzmeas.estimator import SelectionCriterion, correlate, read_correlator_csv, select_polar
 from xzmeas.fpe import KernelParams, two_sided_density
 from xzmeas.perturb import TreeParams, cov_tree, mean_tree, var_tree
 
@@ -126,6 +126,32 @@ def test_mode_compare_gate_fails_when_forced(tmp_path):
     assert cli.run(cfgp) == cli.EXIT_GATE
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["gate_ok"] is False
+
+
+def test_compare_gate_fails_on_a_row_beyond_n_sigma(tmp_path):
+    # a row fails when |mc - ref| > n_sigma * se, and each mc row is what a
+    # call of correlate at its one (t1, t2) gives on the same sub-ensemble
+    cfg = dict(compare_config(None, count=20_000), kinds=["zz", "zx", "xx"],
+               t1_grid={"start": 0.25, "stop": 3.25, "num": 13})
+    crit = SelectionCriterion(cfg["theta_in"], cfg["t_total"], cfg["theta_f"], 0.3)
+    times = np.unique(np.r_[np.linspace(0.25, 3.25, 13), cfg["t2"], cfg["t_total"]])
+    sub = select_polar(crit, cfg["tau_m"], times, cfg["count"], cfg["seed"])
+    codes = set()
+    for n_sigma in (0.5, 6.0):
+        out = tmp_path / str(n_sigma)
+        code = cli.run(write_config(tmp_path, dict(cfg, output_dir=str(out), n_sigma=n_sigma)))
+        rows = read_correlator_csv(out / "compare.csv")
+        ref = {(t1, kind.removeprefix("analytic_")): value
+               for t1, _, kind, value, *_ in rows if kind.startswith("analytic_")}
+        fails = []
+        for t1, t2, kind, value, se, *_ in rows:
+            if kind.startswith("mc_"):
+                assert (value, se) == correlate(sub, kind[3], kind[4], t1, t2)
+                fails.append(abs(value - ref[(t1, kind[3:])]) > n_sigma * se)
+        assert len(fails) == 39
+        assert code == (cli.EXIT_GATE if any(fails) else cli.EXIT_OK)
+        codes.add(code)
+    assert codes == {cli.EXIT_OK, cli.EXIT_GATE}
 
 
 def test_mode_compare_empty_selection_is_numerical_error(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -124,3 +125,14 @@ def test_sim_config_times():
     cfg = SimConfig(_channels(), dt=0.01, t_final=0.05)
     assert cfg.n_steps == 5
     assert np.allclose(cfg.times, [0.0, 0.01, 0.02, 0.03, 0.04, 0.05])
+
+
+def test_sim_config_dict_round_trip():
+    cfg = SimConfig((ChannelConfig(0.1, 0.5, 0.8), ChannelConfig(1.2, 0.4, 0.6)), dt=0.01,
+                    t_final=0.5, initial_state=BlochState(0.6, -0.2, 0.7),
+                    environment=QubitEnvironment(0.3, 0.05), rng_seed=2**64 - 1)
+    d = cfg.to_dict()
+    assert SimConfig.from_dict(json.loads(json.dumps(d))) == cfg
+    assert d["initial_state"] == [0.6, -0.2, 0.7]
+    assert d["channels"][1] == {"axis_angle": 1.2, "gamma": 0.4, "eta": 0.6}
+    assert d["environment"] == {"rabi_detuning": 0.3, "depolarization_rate": 0.05}

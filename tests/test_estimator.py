@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, norm
 
-from xzmeas.core import DomainError
+from xzmeas.core import ChannelConfig, DomainError, SimConfig, polar_to_bloch
 from xzmeas.estimator import (
     SelectionCriterion,
     SelectionError,
@@ -18,7 +18,7 @@ from xzmeas.estimator import (
     write_correlator_csv,
 )
 from xzmeas.fpe import KernelParams, transition_prob
-from xzmeas.sde import polar_ensemble, polar_states
+from xzmeas.sde import polar_ensemble, polar_states, run_ensemble
 
 
 TIMES = np.linspace(0.0, 3.5, 15)
@@ -307,6 +307,85 @@ def test_window_halving_stability(ens):
 def test_snap_index_rejects_off_grid(ens):
     with pytest.raises(DomainError):
         correlate(ens, "z", "z", 1.0, 17.0)
+    with pytest.raises(DomainError, match="outside"):
+        covariance(ens, "z", "z", math.nan, 1.0)
+
+
+def test_snap_on_non_uniform_grid_uses_smallest_spacing():
+    # select_polar's grids are unions of t1 grids and single times; a time
+    # 0.9 from the nearest stored one is not stored, whatever the first step
+    times = np.array([0.0, 2.0, 2.1, 5.0])
+    th = polar_ensemble(0.3, 1.0, times, 50, seed=1)
+    sub = SubEnsemble(times, polar_states(th), 50, 50)
+    for estimate in (correlate, covariance):
+        with pytest.raises(DomainError, match="time 3.0 lies outside"):
+            estimate(sub, "z", "z", 3.0, 3.0)
+        with pytest.raises(DomainError, match="time 3.0 lies outside"):
+            estimate(sub, "z", "x", times, np.array([2.1, 3.0])[:, None])
+    assert correlate(sub, "z", "x", 2.1 + 0.04, 5.0) == correlate(sub, "z", "x", 2.1, 5.0)
+
+
+def reference(estimate, sub, a, b, t1, t2):
+    """The 1-D formulas on one strided member column per time."""
+    i, j = (int(np.argmin(np.abs(sub.times - t))) for t in (t1, t2))
+    va, vb = sub.states[:, i, "xyz".index(a)], sub.states[:, j, "xyz".index(b)]
+    n = len(va)
+    if estimate is correlate:
+        p = va * vb
+        return float(np.mean(p)), float(np.std(p, ddof=1) / math.sqrt(n))
+    da, db = va - va.mean(), vb - vb.mean()
+    return float(np.dot(da, db) / (n - 1)), float(np.std(da * db, ddof=1) / math.sqrt(n))
+
+
+def kernel_view():
+    cfg = SimConfig(channels=(ChannelConfig(0.0, 0.5, 0.8), ChannelConfig(1.2, 0.4, 0.6)),
+                    dt=0.02, t_final=0.5, initial_state=polar_to_bloch(0.7))
+    ens = run_ensemble(cfg, 9000)
+    assert not ens.states.flags.c_contiguous
+    return select(ens, SelectionCriterion(0.7, 0.5))
+
+
+LAYOUTS = {
+    "c_ordered": lambda: make_ensemble(count=9000, seed=5),
+    "kernel_view": kernel_view,
+    "windowed_copy": lambda: select(make_ensemble(count=30_000, seed=6),
+                                    SelectionCriterion(math.pi / 4, 3.5, 7 * math.pi / 8, 0.6)),
+}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("estimate", [correlate, covariance])
+def test_grid_calls_equal_scalar_calls(layout, estimate):
+    # 0 ulp: a campaign's table must not depend on how many points a call takes
+    sub = LAYOUTS[layout]()
+    grid = sub.times[::2]
+    t2 = float(sub.times[len(sub.times) // 3])
+    for a, b in (("z", "x"), ("x", "x")):
+        for t1s, t2s in ((grid, t2), (grid, grid), (grid[:, None], sub.times[1::4])):
+            values, ses = estimate(sub, a, b, t1s, t2s)
+            assert values.shape == ses.shape == np.broadcast_shapes(np.shape(t1s), np.shape(t2s))
+            for i in np.ndindex(values.shape):
+                u, w = np.broadcast_arrays(t1s, t2s)
+                scalar = estimate(sub, a, b, float(u[i]), float(w[i]))
+                assert (float(values[i]), float(ses[i])) == scalar
+                assert scalar == reference(estimate, sub, a, b, float(u[i]), float(w[i]))
+
+
+@pytest.mark.parametrize("estimate", [correlate, covariance])
+def test_scalar_times_give_python_floats(ens, estimate):
+    # bench digests hash the repr of these; an np.float64 would change it
+    for t1, t2 in ((1.0, 2.0), (np.float64(1.0), 2), (np.array(1.0), np.array(2.0))):
+        value, se = estimate(ens, "z", "x", t1, t2)
+        assert type(value) is float and type(se) is float
+
+
+@pytest.mark.parametrize("estimate", [correlate, covariance])
+def test_accepted_count_is_checked_before_coordinates(ens, estimate):
+    one = SubEnsemble(ens.times, ens.states[:1], 1, 1)
+    with pytest.raises(DomainError, match="at least 2"):
+        estimate(one, "q", "z", 1.0, 17.0)
+    with pytest.raises(DomainError, match="unknown coordinate 'q'"):
+        estimate(ens, "q", "z", 17.0, 1.0)
 
 
 def test_correlator_csv_roundtrip(tmp_path):
