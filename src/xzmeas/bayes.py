@@ -80,15 +80,6 @@ def _frame(channel: ChannelConfig) -> np.ndarray:
     return np.array([[s, c], [c, -s]])
 
 
-def _entries(mat: np.ndarray) -> tuple:
-    """Entries of a 2x2 map as 0-d arrays, cheap in elementwise products."""
-    return tuple(np.array(v) for v in mat.ravel())
-
-
-#: ``out`` arguments that make numpy allocate the result
-_FRESH = (None,) * 4
-
-
 def _scan(q, maps, rows: np.ndarray) -> np.ndarray:
     """Apply steps to unnormalised states q = (w, m, t, y) and return the last.
 
@@ -98,19 +89,25 @@ def _scan(q, maps, rows: np.ndarray) -> np.ndarray:
 
         w' = w + tanh(a) m,   m' = m + tanh(a) w,   (t, y)' = E sech(a) (t, y),
 
-    and the entries of ``turn`` then take (m, t) to the frame of the next map.
-    ``rows[j]`` (4, *lanes) receives the state after step j.
+    and the 2x2 ``turn`` then takes (m, t) to the frame of the next map.
+    ``rows[j]`` (4, *lanes) receives the state after step j.  Each map steps
+    row pairs: (w, m) in one multiply-add against the rows swapped, (t, y) in
+    one multiply, and the turn as the columns of ``turn`` times m and t.
     """
-    w, m, t, y = q
+    # each turn as its two columns, shaped to broadcast against a (2, *lanes)
+    # pair
+    shape = (2, 2, *(1,) * (q.ndim - 1))
+    maps = [(th, f, *turn.T.reshape(shape)) for th, f, turn in maps]
+    scratch = np.empty_like(rows[0])
     last = len(maps) - 1
     for j, row in enumerate(rows):
-        for k, (th, f, (r00, r01, r10, r11)) in enumerate(maps):
+        for k, (th, f, c0, c1) in enumerate(maps):
             # the last map of a step writes straight into the step's row
-            out = row if k == last else _FRESH
-            a, e = th[j], f[j]
-            w, m = np.add(w, a * m, out[0]), m + a * w
-            t, y = e * t, np.multiply(e, y, out[3])
-            m, t = np.add(r00 * m, r01 * t, out[1]), np.add(r10 * m, r11 * t, out[2])
+            out = row if k == last else scratch
+            np.add(q[:2], th[j] * q[1::-1], out=out[:2])
+            np.multiply(f[j], q[2:], out=out[2:])
+            np.add(c0 * out[1], c1 * out[2], out=out[1:3])
+            q = out
     return rows[-1]
 
 
@@ -241,7 +238,7 @@ def reconstruct_batch(
     # each turn takes (m, t) to the next channel's frame, the last one through
     # the environment map (its xz block) back to the first channel's frame
     env = _env_matrix(cfg.dt, cfg.environment)[::2, ::2]
-    turns = [_entries(b @ a) for a, b in zip(frames, [*frames[1:], frames[0] @ env])]
+    turns = [b @ a for a, b in zip(frames, [*frames[1:], frames[0] @ env])]
     records = [_by_chunk(np.asarray(r, dtype=float), chunks, span) for r in (r_z, r_x)]
     q_in = np.asarray(q_in, dtype=float)
     start = np.empty((4, chunks, m))
@@ -280,10 +277,14 @@ def reconstruct_batch(
 # ---------------------------------------------------------------------------
 
 def readout_header(cfg: SimConfig) -> dict:
-    """The parameters a readout file's header records, by name."""
+    """The parameters a readout file's header records, by name: the step, each
+    channel's rate, efficiency and axis angle, and the environment."""
     cz, cp = cfg.channels
+    env = cfg.environment
     return {"dt": cfg.dt, "gamma_z": cz.gamma, "eta_z": cz.eta,
-            "gamma_x": cp.gamma, "eta_x": cp.eta}
+            "gamma_x": cp.gamma, "eta_x": cp.eta, "phi_z": cz.axis_angle,
+            "phi_x": cp.axis_angle, "rabi_detuning": env.rabi_detuning,
+            "depolarization_rate": env.depolarization_rate}
 
 
 def write_readout_records(path, record: ReadoutRecord, cfg: SimConfig) -> None:

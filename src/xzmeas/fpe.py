@@ -152,7 +152,9 @@ def cond_avg_fpe_quadrature(
     """Independent oracle: direct quadrature of the two-sided joint density.
 
     Uniform trapezoid on the periodic angle grid (spectrally accurate).
-    Used by tests only; the series route is the production path.
+    The series route is the production path; this is the independent route
+    that both the tests and the benchmark's ``exact_curves`` check compare it
+    with, so it stays here as their one shared copy.
     """
     if not bc.post_selected:
         raise DomainError("quadrature requires a post-selected boundary")

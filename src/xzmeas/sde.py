@@ -10,11 +10,11 @@ and depolarization) a step is
     q' = M q + sqrt(dt) (w - (w.q) q),  M = I + A dt,  w = sum_c n_c xi_c / sqrt(tau_c),
 
 and the readouts n_c.q + sqrt(tau_c/dt) xi_c share the draws xi_c.  Any angle
-between the two measured axes is handled.  A single trajectory is an
-ensemble of one; the kernel steps a batch of one on Python floats, where a
-numpy call per step on one element would cost more than the arithmetic, and
-with the same step function and rounding as a wide batch, so its path equals
-that member's in any ensemble bit for bit.  The polar samplers are an
+between the two measured axes is handled.  A single trajectory is a batch
+of one; the kernel steps a batch of one on Python floats, where a numpy call
+per step on one element would cost more than the arithmetic, and with the
+same step function and rounding as a wide batch, so its path equals the one
+a wide batch gives the same draws, bit for bit.  The polar samplers are an
 opt-in fast path for the ideal equal-strength XZ case, where the dynamics is
 exact free diffusion of the polar angle and therefore can be sampled with no
 discretization error: ``polar_ensemble`` forward in time, ``polar_bridge``
@@ -22,13 +22,19 @@ between a given start and end angle.  A post-selection
 (``estimator.select_polar``) draws the kept members' final angles straight
 from the Gaussian law of the final angle and fills in their paths alone.
 
-Random numbers: every trajectory owns a counter-based Philox stream keyed by
-(seed, stream_id), so any thread can draw any stream (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11).  Each thread keeps one Philox and
-re-keys it per stream by assigning its state, rather than building a generator
-per stream; the draws equal those of a new Philox under that key.  An
-ensemble fills each chunk's streams on every usable CPU, and is reproducible
-regardless of execution order, chunking or CPU count.
+Random numbers: draws come from counter-based Philox generators (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC'11).  An ensemble
+draws its noise in blocks of 64 stream ids: member s takes column s % 64 of
+block s // 64, whose draws are the C-order sequence of an (n_steps, 2, 64)
+standard-normal array from the Philox keyed (seed, s // 64) with its counter
+started at 2**192.  A block that an ensemble covers only in part is drawn at
+full width and trimmed, so member s is the same whatever the member count,
+offset, chunking or CPU count.  The blocks are drawn one time slice at a time,
+on a worker thread one slice ahead of the step loop when more than one CPU is
+usable.  A single trajectory (``simulate_trajectory``) draws its own stream,
+keyed (seed, stream_id) with the counter started at 0, so that it costs no
+64-wide block; no block counter comes within 2**192 of it, and a trajectory is
+not a member of any ensemble.
 
 Storage: an ensemble is held as the kernel writes it, (time, coordinate,
 member) blocks whose rows are contiguous across members; its (member, ...)
@@ -100,8 +106,18 @@ _OVERSHOOT_FACTOR = 30.0
 #: bounds that scratch to _BLOCK x batch width
 _BLOCK = 16
 
-#: ensemble members per chunk; bounds its noise scratch to 40 MB at 500 steps
-_CHUNK = 5000
+#: stream ids per noise block, the unit in which an ensemble's noise is keyed
+#: and drawn
+_BLOCK_IDS = 64
+
+#: steps of every block's draws held at a time; a chunk keeps two such slices.
+#: 64-step slices were no faster, and raised the peak RSS of the benchmark's
+#: ensemble-and-replay workload by about 1.7 MB in most runs
+_SLICE = 32
+
+#: ensemble members per chunk, a multiple of _BLOCK_IDS; bounds the two noise
+#: slices to 5.2 MB and the step kernel's rows to 41 kB each
+_CHUNK = 5120
 
 
 def _step_matrix(cfg: SimConfig) -> np.ndarray:
@@ -126,9 +142,19 @@ def _xz_entries(mat: np.ndarray) -> tuple:
     return tuple(float(mat[i]) for i in ((0, 0), (0, 2), (1, 1), (2, 0), (2, 2)))
 
 
-def _noise_terms(xi, axes, u_scale) -> tuple:
-    """x and z of sqrt(dt) w for draws xi (steps, 2, m); its y is 0."""
-    u = xi * u_scale  # sqrt(dt) xi_c / sqrt(tau_c)
+def _scaled(xi, scale, lanes) -> np.ndarray:
+    """scale (2, 1) times draws xi, as a C-ordered (steps, 2, m) array.
+
+    xi is (steps, 2, ...) with any strides; its trailing axes are read in C
+    order as one member axis, which is cut to the slice ``lanes``.
+    """
+    u = np.multiply(xi, scale.reshape(2, *(1,) * (xi.ndim - 2)), order="C")
+    return u.reshape(len(xi), 2, -1)[:, :, lanes]
+
+
+def _noise_terms(xi, axes, u_scale, lanes) -> tuple:
+    """x and z of sqrt(dt) w for draws xi (see ``_scaled``); its y is 0."""
+    u = _scaled(xi, u_scale, lanes)  # sqrt(dt) xi_c / sqrt(tau_c)
     return axes[0, 0] * u[:, 0] + axes[1, 0] * u[:, 1], axes[0, 2] * u[:, 0] + axes[1, 2] * u[:, 1]
 
 
@@ -144,9 +170,9 @@ def _step(x, y, z, wx, wz, m00, m02, m11, m20, m22) -> tuple:
     return x, y, z, x * x + y * y + z * z
 
 
-def _readouts(pre, xi, axes, r_scale):
+def _readouts(pre, xi, axes, r_scale, lanes):
     """n_c . q at the start of each step, plus that step's own draws."""
-    return axes[:, 0:1] * pre[:, 0:1] + axes[:, 2:3] * pre[:, 2:3] + xi * r_scale
+    return axes[:, 0:1] * pre[:, 0:1] + axes[:, 2:3] * pre[:, 2:3] + _scaled(xi, r_scale, lanes)
 
 
 def _blowup(n2, window: float, step: int) -> IntegratorError:
@@ -156,14 +182,19 @@ def _blowup(n2, window: float, step: int) -> IntegratorError:
     )
 
 
-def _propagate(q, xi, cfg: SimConfig, states, readouts=None) -> None:
+def _propagate(q, xi, cfg: SimConfig, states, readouts=None, first: int = 0,
+               lanes: slice = slice(None)) -> None:
     """Fused Euler-Maruyama steps for a batch, written into the output arrays.
 
     q: (3, m) initial states; xi: (n_steps, 2, m) standard-normal draws, row 0
-    for the z channel and row 1 for the phi channel.  ``states``
+    for the z channel and row 1 for the phi channel.  xi may also be
+    (n_steps, 2, ...) with any strides, its trailing axes read in C order as
+    the member axis and cut to ``lanes``, so that a noise slice is read
+    straight from its (block, step, channel, column) buffer.  ``states``
     (n_steps + 1, 3, m) and ``readouts`` (n_steps, 2, m) may be strided views
     into the caller's arrays.  Norms in (1, 1 + window] are projected back onto
-    the sphere; a larger one raises IntegratorError naming the step.
+    the sphere; a larger one raises IntegratorError naming the step, counted
+    from ``first``, the absolute index of xi's first step.
 
     A batch of one steps on Python floats, a wider one on rows of length m.
     Both run ``_step``, whose operations are elementwise and correctly rounded
@@ -180,36 +211,36 @@ def _propagate(q, xi, cfg: SimConfig, states, readouts=None) -> None:
     limit = (1.0 + window) ** 2
     states[0] = q
     if q.shape[1] == 1:
-        _propagate_one(q[:, 0].tolist(), _noise_terms(xi, axes, u_scale), coef,
-                       limit, window, states[:, :, 0])
+        _propagate_one(q[:, 0].tolist(), _noise_terms(xi, axes, u_scale, lanes), coef,
+                       limit, window, states[:, :, 0], first)
         if readouts is not None:
-            readouts[:] = _readouts(states[:-1], xi, axes, r_scale)
+            readouts[:] = _readouts(states[:-1], xi, axes, r_scale, lanes)
         return
     coef = tuple(np.array(c) for c in coef)  # 0-d arrays: cheaper than floats against rows
     x, y, z = q
     for k0 in range(0, len(xi), _BLOCK):
         block = xi[k0:k0 + _BLOCK]
-        wx, wz = _noise_terms(block, axes, u_scale)
+        wx, wz = _noise_terms(block, axes, u_scale, lanes)
         for j in range(len(block)):
             x, y, z, n2 = _step(x, y, z, wx[j], wz[j], *coef)
             worst = n2.max()
             # negated tests so that a NaN norm raises
             if not worst <= 1.0:
                 if not worst <= limit:
-                    raise _blowup(worst, window, k0 + j)
+                    raise _blowup(worst, window, first + k0 + j)
                 norm = np.where(n2 > 1.0, np.sqrt(n2), 1.0)
                 x, y, z = x / norm, y / norm, z / norm
             out = states[k0 + j + 1]
             out[0], out[1], out[2] = x, y, z
         if readouts is not None:
             readouts[k0:k0 + len(block)] = _readouts(
-                states[k0:k0 + len(block)], block, axes, r_scale)
+                states[k0:k0 + len(block)], block, axes, r_scale, lanes)
 
 
-def _propagate_one(q, w, coef, limit: float, window: float, states) -> None:
+def _propagate_one(q, w, coef, limit: float, window: float, states, first: int) -> None:
     """``_propagate`` for one member on Python floats: q is [x, y, z], w the
     pair of (n_steps, 1) noise terms from ``_noise_terms``, ``states`` the
-    (n_steps + 1, 3) path.
+    (n_steps + 1, 3) path, ``first`` the absolute index of its first step.
 
     Memoryviews hand the noise terms out and take the path in one float at a
     time: lists of all of them raised peak RSS by 0.25-0.4 MB at 4000 steps.
@@ -224,7 +255,7 @@ def _propagate_one(q, w, coef, limit: float, window: float, states) -> None:
         # negated tests so that a NaN norm raises
         if not n2 <= 1.0:
             if not n2 <= limit:
-                raise _blowup(n2, window, i // 3)
+                raise _blowup(n2, window, first + i // 3)
             norm = math.sqrt(n2)
             x, y, z = x / norm, y / norm, z / norm
         out[i] = x
@@ -238,48 +269,60 @@ def _propagate_one(q, w, coef, limit: float, window: float, states) -> None:
 # trajectory and ensemble generation
 # ---------------------------------------------------------------------------
 
-def _philox(seed: int, word: int) -> np.random.Generator:
-    """A generator under Philox key [seed, word], both in [0, 2**64).
+def _philox(seed: int, word: int, counter: int = 0) -> np.random.Generator:
+    """A generator under Philox key [seed, word], both in [0, 2**64), with its
+    counter started at ``counter``.
 
     The key is built as uint64 words: numpy reads a list that mixes a word
     >= 2**63 with a smaller one as float64, which rounds distinct seeds onto
     one key (2**64 - 1 onto 0).
     """
-    return np.random.Generator(np.random.Philox(key=np.array([seed, word], np.uint64)))
-
-
-#: one Philox-backed Generator per thread, re-keyed for every stream
-_local = threading.local()
+    key = np.array([seed, word], np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def noise_stream(seed: int, stream_id: int, n_steps: int) -> np.ndarray:
     """Standard-normal draws for one trajectory, shape (n_steps, 2).
 
     Column 0 feeds the z channel, column 1 the phi channel.  The draws are
-    those of ``_philox(seed, stream_id)``: the calling thread's generator is
-    set to that key at counter 0 with an empty buffer.
+    those of ``_philox(seed, stream_id)`` from counter 0.  Ensembles draw from
+    ``_block_generator`` instead, whose counters start at 2**192.
     """
-    gen = getattr(_local, "gen", None)
-    if gen is None:
-        gen = _local.gen = np.random.Generator(np.random.Philox())
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64),
-                  "key": np.array([seed, stream_id], np.uint64)},
-        "buffer": np.zeros(4, np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return gen.standard_normal((n_steps, 2))
+    return _philox(seed, stream_id).standard_normal((n_steps, 2))
+
+
+def _block_generator(seed: int, block: int) -> np.random.Generator:
+    """The generator of noise block ``block``: Philox key [seed, block], its
+    counter's top word set to 1.  A ``noise_stream`` counter starts at 0 and
+    steps by one per four draws, so it never reaches this domain."""
+    return _philox(seed, block, 1 << 192)
+
+
+def _draw(gens: list, out: np.ndarray) -> None:
+    """The next steps of each block's draws: ``out[i]`` (steps, 2, _BLOCK_IDS)
+    from ``gens[i]``, in C order."""
+    for gen, block in zip(gens, out):
+        gen.standard_normal(out=block)
 
 
 def simulate_trajectory(cfg: SimConfig, stream_id: int = 0):
-    """One trajectory plus its readout record: ensemble member ``stream_id``."""
-    ens = run_ensemble(cfg, 1, stream_offset=stream_id)
+    """One trajectory plus its readout record, driven by
+    ``noise_stream(cfg.rng_seed, stream_id)``.
+
+    It steps on Python floats with the ensemble kernel, but it is no ensemble
+    member: ensemble members draw from 64-wide noise blocks, which would cost
+    a long single record 64 streams' draws.  ``run_ensemble(cfg, 1,
+    stream_offset=stream_id)`` gives member ``stream_id``.
+    """
+    n = cfg.n_steps
+    states = np.empty((n + 1, 3, 1))
+    readouts = np.empty((n, 2, 1))
+    xi = noise_stream(cfg.rng_seed, stream_id, n)[:, :, None]
+    _propagate(cfg.initial_state.as_array()[:, None], xi, cfg, states, readouts)
+    times = cfg.times
     return (
-        Trajectory(times=ens.times, states=ens.states[0]),
-        ReadoutRecord(times=ens.times[:-1], r_z=ens.r_z[0], r_phi=ens.r_phi[0]),
+        Trajectory(times=times, states=states[:, :, 0]),
+        ReadoutRecord(times=times[:-1], r_z=readouts[:, 0, 0], r_phi=readouts[:, 1, 0]),
     )
 
 
@@ -294,61 +337,110 @@ def run_ensemble(cfg: SimConfig, count: int, keep_readouts: bool = True,
                  stream_offset: int = 0) -> Ensemble:
     """Trajectories for stream ids offset..offset+count-1, in stream-id order.
 
-    Chunks of ``_CHUNK`` members run one after another.  Each chunk's noise is
-    drawn on every usable CPU, one contiguous range of its stream columns per
-    thread, and then stepped on the calling thread.  A stream's draws depend
-    on its id alone, and each member rounds the same way in any chunk, so the
-    output is bit-identical for any CPU count.  ``stream_offset`` lets callers
-    build one large logical ensemble in slabs without reusing noise streams.
+    Member s is column s % 64 of noise block s // 64 (see the module
+    docstring), so it is the same in any ensemble that holds it: at any
+    ``count``, ``stream_offset``, chunking or CPU count, bit for bit.
+    ``stream_offset`` lets callers build one large logical ensemble in slabs.
+
+    Chunks of up to ``_CHUNK`` members, cut at multiples of ``_CHUNK``, run one
+    after another, and each steps through its noise one ``_SLICE`` of time at a
+    time.  With more than one usable CPU a worker thread draws the next slice
+    while the calling thread steps this one; the draws do not depend on which
+    thread makes them.  An IntegratorError names the step and the chunk's
+    stream range.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if stream_offset < 0 or stream_offset + count > 2**64:
+        raise OverflowError(f"stream ids {stream_offset}..{stream_offset + count - 1}"
+                            " leave [0, 2**64)")
     n = cfg.n_steps
     base = stream_offset
     states = np.empty((n + 1, 3, count))
     readouts = np.empty((n, 2, count)) if keep_readouts else None
-    q0 = cfg.initial_state.as_array()[:, None]
-
-    def fill(xi, first, j0, j1, errors) -> None:
+    states[0] = cfg.initial_state.as_array()[:, None]
+    ahead = _usable_cpus() > 1
+    edges = [base, *range((base // _CHUNK + 1) * _CHUNK, base + count, _CHUNK), base + count]
+    for lo, hi in zip(edges, edges[1:]):
+        members = slice(lo - base, hi - base)
+        first_block = lo // _BLOCK_IDS
+        gens = [_block_generator(cfg.rng_seed, b)
+                for b in range(first_block, -(-hi // _BLOCK_IDS))]
+        lanes = slice(lo - first_block * _BLOCK_IDS, hi - first_block * _BLOCK_IDS)
         try:
-            for j in range(j0, j1):
-                xi[:, :, j] = noise_stream(cfg.rng_seed, first + j, n)
-        except Exception as exc:  # raised again on the calling thread
-            errors.append(exc)
-
-    cpus = _usable_cpus()
-    for lo in range(0, count, _CHUNK):
-        hi = min(lo + _CHUNK, count)
-        xi = np.empty((n, 2, hi - lo))
-        # one contiguous range of columns per CPU; the calling thread fills
-        # the first range, and a thread started for it each other one
-        parts = min(cpus, hi - lo)
-        cuts = [k * (hi - lo) // parts for k in range(parts + 1)]
-        errors = []
-        workers = [threading.Thread(target=fill, args=(xi, base + lo, j0, j1, errors))
-                   for j0, j1 in zip(cuts[1:-1], cuts[2:])]
-        for worker in workers:
-            worker.start()
-        fill(xi, base + lo, 0, cuts[1], errors)
-        for worker in workers:
-            worker.join()
-        if errors:
-            raise errors[0]
-        out = None if readouts is None else readouts[:, :, lo:hi]
-        try:
-            _propagate(np.repeat(q0, hi - lo, axis=1), xi, cfg, states[:, :, lo:hi], out)
+            _run_chunk(cfg, gens, lanes, ahead, states[:, :, members],
+                       None if readouts is None else readouts[:, :, members])
         except IntegratorError as exc:
-            raise IntegratorError(
-                f"{exc} (streams {base + lo}..{base + hi - 1})"
-            ) from exc
+            raise IntegratorError(f"{exc} (streams {lo}..{hi - 1})") from exc
     return Ensemble(
         times=cfg.times,
         states=states.transpose(2, 0, 1),
         config=cfg,
-        stream_ids=np.arange(base, base + count),
+        # np.arange makes float64 of ids past 2**63
+        stream_ids=np.arange(base, base + count, dtype=np.uint64 if base + count > 2**63 else None),
         r_z=None if readouts is None else readouts[:, 0].T,
         r_phi=None if readouts is None else readouts[:, 1].T,
     )
+
+
+def _run_chunk(cfg: SimConfig, gens: list, lanes: slice, ahead: bool, states, readouts) -> None:
+    """Step one chunk from its initial states ``states[0]``: ``gens`` are its
+    blocks' generators, ``lanes`` its members' columns among the blocks'
+    columns, ``states``/``readouts`` its (time, coordinate, member) views.
+
+    Draws sit in (block, step, channel, column) slices, so each block fills a
+    contiguous part; the kernel reads them transposed.  With ``ahead`` one
+    worker thread draws the slices in turn into two buffers, so that it draws
+    slice k + 1 while this thread steps slice k; without, this thread draws
+    each slice before stepping it.
+    """
+    n = len(states) - 1
+    cuts = [(k0, min(k0 + _SLICE, n)) for k0 in range(0, n, _SLICE)]
+    bufs = [np.empty((len(gens), min(_SLICE, n), 2, _BLOCK_IDS)) for _ in range(1 + ahead)]
+
+    def noise(k):
+        """Slice k's buffer, a (block, step, channel, column) view."""
+        k0, k1 = cuts[k]
+        return bufs[k % len(bufs)][:, :k1 - k0]
+
+    def step(k):
+        k0, k1 = cuts[k]
+        _propagate(states[k0], noise(k).transpose(1, 2, 0, 3), cfg, states[k0:k1 + 1],
+                   None if readouts is None else readouts[k0:k1], k0, lanes)
+
+    if not ahead:
+        for k in range(len(cuts)):
+            _draw(gens, noise(k))
+            step(k)
+        return
+    free, ready = threading.Semaphore(len(bufs)), threading.Semaphore(0)
+    stop, errors = threading.Event(), []
+
+    def produce():
+        try:
+            for k in range(len(cuts)):
+                free.acquire()
+                if stop.is_set():
+                    return
+                _draw(gens, noise(k))
+                ready.release()
+        except Exception as exc:  # raised again on the calling thread
+            errors.append(exc)
+            ready.release()
+
+    worker = threading.Thread(target=produce)
+    worker.start()
+    try:
+        for k in range(len(cuts)):
+            ready.acquire()
+            if errors:
+                raise errors[0]
+            step(k)
+            free.release()
+    finally:
+        stop.set()
+        free.release()
+        worker.join()
 
 
 def _sample_times(sample_times) -> np.ndarray:

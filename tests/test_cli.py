@@ -432,15 +432,21 @@ def test_mode_reconstruct_huge_readout(tmp_path, capsys):
     ("# dt=0.005 gamma_z=0.5 eta_z=1.0 gamma_x=0.5 eta_x=1.0", "dt"),
     ("# eta_x=0.9", "eta_x"),
     ("# gamma_z=0.5", None),
+    ("# dt=0.01 gamma_z=0.5 eta_z=1.0 gamma_x=0.5 eta_x=1.0", None),
+    ("# phi_z=0.1", "phi_z"),
+    ("# rabi_detuning=0.3", "rabi_detuning"),
+    ("# depolarization_rate=0.05", "depolarization_rate"),
 ])
 def test_mode_reconstruct_checks_header(tmp_path, capsys, header, field):
     # the record is written from the config's own sim block; a header field
     # that differs from it exits 3 naming the field, and a field the header
-    # lacks is taken from the config
+    # lacks, as in the five-field header of older records, is taken from the
+    # config
     rec_path = tmp_path / "readouts.txt"
     cfgp = write_config(tmp_path, reconstruct_config(tmp_path / "out", rec_path))
     lines = rec_path.read_text().splitlines()
-    assert lines[0] == "# dt=0.01 gamma_z=0.5 eta_z=1.0 gamma_x=0.5 eta_x=1.0"
+    assert lines[0] == ("# dt=0.01 gamma_z=0.5 eta_z=1.0 gamma_x=0.5 eta_x=1.0 phi_z=0.0"
+                        f" phi_x={math.pi / 2!r} rabi_detuning=0.0 depolarization_rate=0.0")
     lines[0] = header
     rec_path.write_text("\n".join(lines) + "\n")
     if field is None:
@@ -448,6 +454,15 @@ def test_mode_reconstruct_checks_header(tmp_path, capsys, header, field):
     else:
         assert cli.run(cfgp) == cli.EXIT_CONFIG
         assert f"header {field}=" in capsys.readouterr().err
+
+
+def test_mode_reconstruct_rejects_record_of_another_axis(tmp_path, capsys):
+    # a record written with the phi axis at pi/2 does not replay under pi/3
+    rec_path = tmp_path / "readouts.txt"
+    cfg = reconstruct_config(tmp_path / "out", rec_path)
+    cfg["sim"]["channels"][1]["axis_angle"] = math.pi / 3
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_CONFIG
+    assert f"header phi_x={math.pi / 2!r}, sim config phi_x=" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("change, message", [

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -129,7 +130,11 @@ def test_renormalize_rejects_blowups(monkeypatch):
         with pytest.raises(IntegratorError, match="step 7"):
             kernel_run(cfg, np.repeat(cfg.initial_state.as_array()[:, None], width, axis=1), xi)
     # through run_ensemble the error also names the chunk's stream range
-    monkeypatch.setattr(sde, "noise_stream", lambda seed, sid, n: xi[:, :, 0])
+    def draw(gens, out):
+        out[:] = 0.0
+        out[:, 7, 1] = 1e3
+
+    monkeypatch.setattr(sde, "_draw", draw)
     with pytest.raises(IntegratorError, match=r"step 7 \(streams 3\.\.5\)"):
         run_ensemble(cfg, 3, stream_offset=3)
     with pytest.raises(IntegratorError, match=r"step 7 \(streams 3\.\.3\)"):
@@ -191,8 +196,8 @@ def _fresh_stream(seed, sid, n):
 
 
 def test_noise_stream_equals_fresh_philox():
-    # the thread's re-keyed generator forgets the previous key's counter and
-    # buffer: each call equals a newly built generator under its own key
+    # each call equals a newly built generator under its own key, whatever
+    # was drawn before
     for seed, sid, n in ((42, 7, 100), (5, 1, 33), (42, 7, 100), (0, 0, 1),
                          (2**64 - 1, 2**63 + 5, 17), (3, 2**64 - 1, 64)):
         assert np.array_equal(noise_stream(seed, sid, n), _fresh_stream(seed, sid, n))
@@ -236,12 +241,66 @@ def test_ensemble_digest_independent_of_cpu_count(monkeypatch, count, chunk):
     assert len(digests) == 1
 
 
+class _DrawFailed(Exception):
+    pass
+
+
 def test_noise_error_on_a_started_thread_reaches_the_caller(monkeypatch):
-    # with two CPUs the second half of the columns is drawn on a started
-    # thread, and there the stream ids pass 2**64
-    cfg = ideal_xz_config(t_final=0.1)
-    with pytest.raises(OverflowError):
-        _run_with(monkeypatch, cfg, 10, chunk=5000, cpus=2, stream_offset=2**64 - 6)
+    # with two CPUs one started thread draws every noise slice; an error there
+    # is raised on the calling thread, after the join
+    cfg = ideal_xz_config(t_final=1.0)
+    assert cfg.n_steps > sde._SLICE
+    draw, threads = sde._draw, []
+
+    def fail_second_slice(gens, out):
+        threads.append(threading.current_thread())
+        if len(threads) == 2:
+            raise _DrawFailed
+        draw(gens, out)
+
+    monkeypatch.setattr(sde, "_draw", fail_second_slice)
+    with pytest.raises(_DrawFailed):
+        _run_with(monkeypatch, cfg, 10, chunk=5120, cpus=2)
+    assert threads[0] is threads[1] is not threading.main_thread()
+    assert not threads[0].is_alive()
+    # with one CPU the calling thread draws every slice itself
+    threads.clear()
+    with pytest.raises(_DrawFailed):
+        _run_with(monkeypatch, cfg, 10, chunk=5120, cpus=1)
+    assert threads == [threading.main_thread()] * 2
+
+
+def test_integrator_error_stops_the_noise_thread(monkeypatch):
+    # a blow-up in the first slice, while the worker has the next ones to draw
+    cfg = ideal_xz_config(t_final=2.0)
+    draw = sde._draw
+    workers = []
+
+    def blow_up_at_step_7(gens, out):
+        workers.append(threading.current_thread())
+        draw(gens, out)
+        if len(workers) == 1:
+            out[:, 7, 1] = 1e3
+
+    monkeypatch.setattr(sde, "_draw", blow_up_at_step_7)
+    with pytest.raises(IntegratorError, match=r"step 7 \(streams 0\.\.9\)"):
+        _run_with(monkeypatch, cfg, 10, chunk=5120, cpus=2)
+    workers[0].join(timeout=10)
+    assert not workers[0].is_alive() and len(workers) <= 2
+
+
+def test_stream_ids_past_2_pow_64_rejected_before_drawing(monkeypatch):
+    cfg = ideal_xz_config(t_final=0.1, seed=2)
+    ok = _run_with(monkeypatch, cfg, 6, chunk=5120, cpus=2, stream_offset=2**64 - 6)
+    assert ok.stream_ids.tolist() == list(range(2**64 - 6, 2**64))
+
+    def no_draws(gens, out):
+        raise AssertionError("drew noise")
+
+    monkeypatch.setattr(sde, "_draw", no_draws)
+    for offset, count in ((2**64 - 6, 7), (2**64, 1), (-1, 3)):
+        with pytest.raises(OverflowError):
+            _run_with(monkeypatch, cfg, count, chunk=5120, cpus=2, stream_offset=offset)
 
 
 def _run_with(monkeypatch, cfg, count, chunk, cpus, **kw):
@@ -265,10 +324,64 @@ def test_ensemble_members_match_single_trajectories():
     cfg = ideal_xz_config(t_final=0.1, seed=3)
     ens = run_ensemble(cfg, 5)
     for sid in range(5):
-        traj, rec = simulate_trajectory(cfg, stream_id=sid)
-        assert np.array_equal(ens.states[sid], traj.states)
-        assert np.array_equal(ens.r_z[sid], rec.r_z)
-        assert np.array_equal(ens.r_phi[sid], rec.r_phi)
+        one = run_ensemble(cfg, 1, stream_offset=sid)
+        assert np.array_equal(ens.states[sid], one.states[0])
+        assert np.array_equal(ens.r_z[sid], one.r_z[0])
+        assert np.array_equal(ens.r_phi[sid], one.r_phi[0])
+
+
+def _block_draws(seed, block, n):
+    """Block ``block``'s draws, from a new generator in one call."""
+    return sde._block_generator(seed, block).standard_normal((n, 2, sde._BLOCK_IDS))
+
+
+def test_block_draws_independent_of_slice_length(monkeypatch):
+    # member s is column s % 64 of its block's (n, 2, 64) draws, however many
+    # steps a slice holds, including slices that do not divide n
+    cfg = general_config(t_final=0.062, seed=6)
+    n = cfg.n_steps
+    blocks = [_block_draws(6, b, n) for b in (0, 1)]
+    for width in (1, 5, 7, 64, 1000):
+        gens = [sde._block_generator(6, b) for b in (0, 1)]
+        out = np.empty((2, n, 2, sde._BLOCK_IDS))
+        for k0 in range(0, n, width):
+            sde._draw(gens, out[:, k0:k0 + width])
+        assert np.array_equal(out, np.stack(blocks))
+    ref = _run_with(monkeypatch, cfg, 70, chunk=5120, cpus=1)
+    for width in (1, 7, 1000):
+        monkeypatch.setattr(sde, "_SLICE", width)
+        for cpus in (1, 2):
+            ens = _run_with(monkeypatch, cfg, 70, chunk=5120, cpus=cpus)
+            assert _ensemble_digest(ens) == _ensemble_digest(ref)
+    for s in (0, 63, 64, 69):
+        xi = blocks[s // 64][:, :, s % 64][:, :, None]
+        states, readouts = kernel_run(cfg, cfg.initial_state.as_array()[:, None], xi)
+        assert np.array_equal(ref.states[s], states[:, :, 0])
+        assert np.array_equal(ref.r_z[s], readouts[:, 0, 0])
+        assert np.array_equal(ref.r_phi[s], readouts[:, 1, 0])
+
+
+@pytest.mark.parametrize("chunk, cpus", [(5120, 1), (5120, 2), (64, 2), (7, 1), (3, 3)])
+def test_member_same_in_every_ensemble(monkeypatch, chunk, cpus):
+    # offsets and counts that start and end inside a block, span several
+    # blocks, or hold one member
+    cfg = general_config(t_final=0.03, seed=13)
+    full = _run_with(monkeypatch, cfg, 200, chunk=5120, cpus=1)
+    for offset, count in ((0, 200), (5, 3), (60, 10), (63, 66), (64, 64), (130, 70), (199, 1)):
+        ens = _run_with(monkeypatch, cfg, count, chunk=chunk, cpus=cpus, stream_offset=offset)
+        assert np.array_equal(ens.states, full.states[offset:offset + count])
+        assert np.array_equal(ens.r_z, full.r_z[offset:offset + count])
+        assert np.array_equal(ens.r_phi, full.r_phi[offset:offset + count])
+
+
+def test_block_draws_differ_from_noise_streams():
+    # a block and a trajectory under the same key words draw in disjoint
+    # counter domains
+    for seed, block in ((0, 0), (3, 1), (2**64 - 1, 2**58 - 1)):
+        draws = _block_draws(seed, block, 8)
+        stream = noise_stream(seed, block, 8 * sde._BLOCK_IDS)
+        assert not np.isin(draws, stream).any()
+        assert not np.isin(draws[:, :, 0], noise_stream(seed, block, 8)).any()
 
 
 def experimental_config(seed):
@@ -289,19 +402,22 @@ def experimental_config(seed):
                                  ideal_xz_config(t_final=20.0, seed=8)],
                          ids=["experimental", "ideal"])
 def test_long_float_path_equals_row_path(cfg):
-    # a trajectory steps on Python floats, a 3-wide ensemble on numpy rows;
-    # every state and readout agrees bit for bit over thousands of steps
-    ens = run_ensemble(cfg, 3, stream_offset=40)
-    assert cfg.n_steps >= 2000
+    # a trajectory steps on Python floats, a 3-wide batch fed the same
+    # noise streams on numpy rows; every state and readout agrees bit for bit
+    # over thousands of steps
+    n = cfg.n_steps
+    assert n >= 2000
+    xi = np.stack([noise_stream(cfg.rng_seed, 40 + j, n) for j in range(3)], axis=2)
+    states, readouts = kernel_run(cfg, np.repeat(cfg.initial_state.as_array()[:, None], 3, axis=1), xi)
     for j in range(3):
         traj, rec = simulate_trajectory(cfg, stream_id=40 + j)
-        assert np.array_equal(traj.states, ens.states[j])
-        assert np.array_equal(rec.r_z, ens.r_z[j])
-        assert np.array_equal(rec.r_phi, ens.r_phi[j])
+        assert np.array_equal(traj.states, states[:, :, j])
+        assert np.array_equal(rec.r_z, readouts[:, 0, j])
+        assert np.array_equal(rec.r_phi, readouts[:, 1, j])
     if cfg.channels[0].eta == 1.0:
         # at eta = 1 the path is projected back on to the sphere many times
-        norms = np.linalg.norm(ens.states[:, 1:], axis=2)
-        assert (np.abs(norms - 1.0) <= 1e-15).sum(axis=1).min() > 10
+        norms = np.linalg.norm(states[1:], axis=1)
+        assert (np.abs(norms - 1.0) <= 1e-15).sum(axis=0).min() > 10
 
 
 def test_ensemble_bit_identical_across_chunk_widths(monkeypatch):
@@ -323,10 +439,10 @@ def test_ensemble_bit_identical_across_chunk_widths(monkeypatch):
             assert np.array_equal(ens.r_z, ref.r_z)
             assert np.array_equal(ens.r_phi, ref.r_phi)
         for sid in (0, 5, 66):
-            traj, rec = simulate_trajectory(cfg, stream_id=sid)
-            assert np.array_equal(traj.states, ref.states[sid])
-            assert np.array_equal(rec.r_z, ref.r_z[sid])
-            assert np.array_equal(rec.r_phi, ref.r_phi[sid])
+            one = run_ensemble(cfg, 1, stream_offset=sid)
+            assert np.array_equal(one.states[0], ref.states[sid])
+            assert np.array_equal(one.r_z[0], ref.r_z[sid])
+            assert np.array_equal(one.r_phi[0], ref.r_phi[sid])
 
 
 def test_ensemble_stream_offset_slabs_match_full_run(monkeypatch):
