@@ -44,10 +44,14 @@ import math
 import numpy as np
 
 from .core import BlochState, ChannelConfig, QubitEnvironment, SimConfig, write_table
-from .sde import _BLOCK, ReadoutRecord, Trajectory
+from .sde import ReadoutRecord, Trajectory
 
 #: positivity slack before a reconstruction error is raised
 POSITIVITY_TOL = 1e-10
+
+#: replay steps whose maps are built, applied and normalised in one vectorized
+#: pass; bounds that scratch to _BLOCK x lanes
+_BLOCK = 16
 
 
 class ReconstructionError(RuntimeError):

@@ -13,9 +13,10 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-#: Tolerance on the Bloch-vector norm.  Euler-Maruyama steps can push |q|
-#: slightly above 1; norms in (1, 1 + NORM_TOL] are rescaled onto the sphere,
-#: anything larger is treated as an integrator bug and raised.
+#: Rounding slack on the Bloch-vector norm: a BlochState with norm above
+#: 1 + NORM_TOL is refused.  It is only the floor of the SDE step kernel's
+#: overshoot window, which projects norms up to 1 + max(NORM_TOL, 30 dt/tau)
+#: back onto the sphere (1.5 at dt/tau = 0.05) and raises beyond that.
 NORM_TOL = 1e-9
 
 

@@ -39,7 +39,7 @@ class KernelParams:
     n_max: int = 128
 
     def __post_init__(self):
-        if self.diffusion <= 0:
+        if not self.diffusion > 0:  # negated so that NaN fails
             raise DomainError("diffusion must be positive")
 
     @classmethod
@@ -55,7 +55,7 @@ def transition_prob(theta, t: float, theta0: float, t0: float, kp: KernelParams)
     be an array.  The kernel is symmetric under theta <-> theta0 (detailed
     balance w.r.t. the uniform measure).
     """
-    if t <= t0:
+    if not t > t0:  # negated so that NaN fails
         raise DomainError("transition_prob requires t > t0")
     x = kp.diffusion * (t - t0)
     d = np.asarray(theta, dtype=float) - np.asarray(theta0, dtype=float)

@@ -9,8 +9,7 @@ eigenvalues that organize the arbitrary-angle generalization.
 The published z-z expression carries a first term with an extra 1/tau_z
 relative to the z-x analogue; re-deriving the two-propagator diagrams (and
 matching the small-time Ito variance rate (1 - z^2)^2/tau_z) fixes the
-coefficient to -4*Gamma_z*eta_z*z_in^2*t_min.  The corrected form is the
-default; the as-printed one stays available for the empirical comparison.
+coefficient to -4*Gamma_z*eta_z*z_in^2*t_min, the form used here.
 """
 from __future__ import annotations
 
@@ -53,7 +52,7 @@ class EigenDecomposition:
 
 def eig_decoherence(gamma_z: float, gamma_phi: float, phi: float) -> EigenDecomposition:
     """Eigen-decomposition of the xz dephasing matrix for axis angle phi."""
-    if gamma_z <= 0 or gamma_phi <= 0:
+    if not (gamma_z > 0 and gamma_phi > 0):  # negated so that NaN fails
         raise DomainError("rates must be positive")
     xi = gamma_phi**2 + gamma_z**2 + 2 * gamma_phi * gamma_z * math.cos(2 * phi)
     root = math.sqrt(max(xi, 0.0))
@@ -77,18 +76,9 @@ def mean_tree(coord: str, t, p: TreeParams):
     return out if out.ndim else float(out)
 
 
-def cov_tree(
-    kind: str,
-    t1,
-    t2,
-    p: TreeParams,
-    zz_first_term: str = "corrected",
-) -> float | np.ndarray:
-    """Tree-level connected covariance; kind in {zx, zz, xx}.
-
-    ``zz_first_term`` selects "corrected" (default) or "as_printed" for the
-    leading z-z term (see module notes).
-    """
+def cov_tree(kind: str, t1, t2, p: TreeParams) -> float | np.ndarray:
+    """Tree-level connected covariance; kind in {zx, zz, xx}.  The leading
+    z-z term is the corrected one (see module notes)."""
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
     if np.any(t1 < 0) or np.any(t2 < 0):
@@ -106,14 +96,8 @@ def cov_tree(
     elif kind in ("zz", "xx"):
         if kind == "xx":
             gx, gz, ex, ez, xi, zi = gz, gx, ez, ex, zi, xi
-        if zz_first_term == "corrected":
-            first = -4 * gz * ez * zi**2 * tmin
-        elif zz_first_term == "as_printed":
-            first = -4 * gz * ez * zi**2 * tmin / (1.0 / (2 * gz * ez))
-        else:
-            raise DomainError(f"unknown zz_first_term {zz_first_term!r}")
         out = np.exp(-gx * (t1 + t2)) * (
-            first
+            -4 * gz * ez * zi**2 * tmin
             + (gz * ez / gx) * (np.exp(2 * gx * tmin) - 1)
             + (xi**2 * zi**2 * gx * ex / gz) * (1 - np.exp(-2 * gz * tmin))
             + (zi**4 * gz * ez / gx) * (1 - np.exp(-2 * gx * tmin))
@@ -123,8 +107,8 @@ def cov_tree(
     return out if out.ndim else float(out)
 
 
-def var_tree(coord: str, t, p: TreeParams, zz_first_term: str = "corrected"):
+def var_tree(coord: str, t, p: TreeParams):
     """Tree-level variance: the equal-time, equal-coordinate covariance."""
     if coord not in ("x", "z"):
         raise DomainError(f"unknown coordinate {coord!r}")
-    return cov_tree(coord * 2, t, t, p, zz_first_term=zz_first_term)
+    return cov_tree(coord * 2, t, t, p)

@@ -29,9 +29,9 @@ block s // 64, whose draws are the C-order sequence of an (n_steps, 2, 64)
 standard-normal array from the Philox keyed (seed, s // 64) with its counter
 started at 2**192.  A block that an ensemble covers only in part is drawn at
 full width and trimmed, so member s is the same whatever the member count,
-offset, chunking or CPU count.  The blocks are drawn one time slice at a time,
-on a worker thread one slice ahead of the step loop when more than one CPU is
-usable.  A single trajectory (``simulate_trajectory``) draws its own stream,
+offset, chunking or CPU count.  The blocks are drawn one time slice at a time
+by one worker thread, which draws the next slice while the caller steps this
+one.  A single trajectory (``simulate_trajectory``) draws its own stream,
 keyed (seed, stream_id) with the counter started at 0, so that it costs no
 64-wide block; no block counter comes within 2**192 of it, and a trajectory is
 not a member of any ensemble.
@@ -45,8 +45,7 @@ from __future__ import annotations
 import io
 import json
 import math
-import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,17 +101,14 @@ class Ensemble:
 #: back (standard projected Euler-Maruyama); anything larger is a bug.
 _OVERSHOOT_FACTOR = 30.0
 
-#: steps whose noise terms and readouts are computed in one vectorized pass;
-#: bounds that scratch to _BLOCK x batch width
-_BLOCK = 16
-
 #: stream ids per noise block, the unit in which an ensemble's noise is keyed
 #: and drawn
 _BLOCK_IDS = 64
 
-#: steps of every block's draws held at a time; a chunk keeps two such slices.
-#: 64-step slices were no faster, and raised the peak RSS of the benchmark's
-#: ensemble-and-replay workload by about 1.7 MB in most runs
+#: steps of every block's draws held at a time; a chunk keeps two such slices,
+#: and the step kernel's scratch is one slice wide.  64-step slices were no
+#: faster, and raised the peak RSS of the benchmark's ensemble-and-replay
+#: workload by about 1.7 MB in most runs
 _SLICE = 32
 
 #: ensemble members per chunk, a multiple of _BLOCK_IDS; bounds the two noise
@@ -194,7 +190,9 @@ def _propagate(q, xi, cfg: SimConfig, states, readouts=None, first: int = 0,
     (n_steps + 1, 3, m) and ``readouts`` (n_steps, 2, m) may be strided views
     into the caller's arrays.  Norms in (1, 1 + window] are projected back onto
     the sphere; a larger one raises IntegratorError naming the step, counted
-    from ``first``, the absolute index of xi's first step.
+    from ``first``, the absolute index of xi's first step.  The noise terms
+    and readouts of all of xi are computed in one pass each, so the scratch is
+    a few arrays of xi's size; ``run_ensemble`` hands over one slice at a time.
 
     A batch of one steps on Python floats, a wider one on rows of length m.
     Both run ``_step``, whose operations are elementwise and correctly rounded
@@ -210,31 +208,25 @@ def _propagate(q, xi, cfg: SimConfig, states, readouts=None, first: int = 0,
     window = max(NORM_TOL, _OVERSHOOT_FACTOR * dt * float(np.max(1.0 / tau)))
     limit = (1.0 + window) ** 2
     states[0] = q
+    wx, wz = _noise_terms(xi, axes, u_scale, lanes)
     if q.shape[1] == 1:
-        _propagate_one(q[:, 0].tolist(), _noise_terms(xi, axes, u_scale, lanes), coef,
-                       limit, window, states[:, :, 0], first)
-        if readouts is not None:
-            readouts[:] = _readouts(states[:-1], xi, axes, r_scale, lanes)
-        return
-    coef = tuple(np.array(c) for c in coef)  # 0-d arrays: cheaper than floats against rows
-    x, y, z = q
-    for k0 in range(0, len(xi), _BLOCK):
-        block = xi[k0:k0 + _BLOCK]
-        wx, wz = _noise_terms(block, axes, u_scale, lanes)
-        for j in range(len(block)):
+        _propagate_one(q[:, 0].tolist(), (wx, wz), coef, limit, window, states[:, :, 0], first)
+    else:
+        coef = tuple(np.array(c) for c in coef)  # 0-d arrays: cheaper than floats against rows
+        x, y, z = q
+        for j in range(len(xi)):
             x, y, z, n2 = _step(x, y, z, wx[j], wz[j], *coef)
             worst = n2.max()
             # negated tests so that a NaN norm raises
             if not worst <= 1.0:
                 if not worst <= limit:
-                    raise _blowup(worst, window, first + k0 + j)
+                    raise _blowup(worst, window, first + j)
                 norm = np.where(n2 > 1.0, np.sqrt(n2), 1.0)
                 x, y, z = x / norm, y / norm, z / norm
-            out = states[k0 + j + 1]
+            out = states[j + 1]
             out[0], out[1], out[2] = x, y, z
-        if readouts is not None:
-            readouts[k0:k0 + len(block)] = _readouts(
-                states[k0:k0 + len(block)], block, axes, r_scale, lanes)
+    if readouts is not None:
+        readouts[:] = _readouts(states[:-1], xi, axes, r_scale, lanes)
 
 
 def _propagate_one(q, w, coef, limit: float, window: float, states, first: int) -> None:
@@ -326,13 +318,6 @@ def simulate_trajectory(cfg: SimConfig, stream_id: int = 0):
     )
 
 
-def _usable_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_ensemble(cfg: SimConfig, count: int, keep_readouts: bool = True,
                  stream_offset: int = 0) -> Ensemble:
     """Trajectories for stream ids offset..offset+count-1, in stream-id order.
@@ -344,10 +329,10 @@ def run_ensemble(cfg: SimConfig, count: int, keep_readouts: bool = True,
 
     Chunks of up to ``_CHUNK`` members, cut at multiples of ``_CHUNK``, run one
     after another, and each steps through its noise one ``_SLICE`` of time at a
-    time.  With more than one usable CPU a worker thread draws the next slice
+    time.  One worker thread, started for the whole call, draws the next slice
     while the calling thread steps this one; the draws do not depend on which
-    thread makes them.  An IntegratorError names the step and the chunk's
-    stream range.
+    thread makes them.  An error in a draw is raised on the calling thread.  An
+    IntegratorError names the step and the chunk's stream range.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -359,19 +344,19 @@ def run_ensemble(cfg: SimConfig, count: int, keep_readouts: bool = True,
     states = np.empty((n + 1, 3, count))
     readouts = np.empty((n, 2, count)) if keep_readouts else None
     states[0] = cfg.initial_state.as_array()[:, None]
-    ahead = _usable_cpus() > 1
     edges = [base, *range((base // _CHUNK + 1) * _CHUNK, base + count, _CHUNK), base + count]
-    for lo, hi in zip(edges, edges[1:]):
-        members = slice(lo - base, hi - base)
-        first_block = lo // _BLOCK_IDS
-        gens = [_block_generator(cfg.rng_seed, b)
-                for b in range(first_block, -(-hi // _BLOCK_IDS))]
-        lanes = slice(lo - first_block * _BLOCK_IDS, hi - first_block * _BLOCK_IDS)
-        try:
-            _run_chunk(cfg, gens, lanes, ahead, states[:, :, members],
-                       None if readouts is None else readouts[:, :, members])
-        except IntegratorError as exc:
-            raise IntegratorError(f"{exc} (streams {lo}..{hi - 1})") from exc
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for lo, hi in zip(edges, edges[1:]):
+            members = slice(lo - base, hi - base)
+            first_block = lo // _BLOCK_IDS
+            gens = [_block_generator(cfg.rng_seed, b)
+                    for b in range(first_block, -(-hi // _BLOCK_IDS))]
+            lanes = slice(lo - first_block * _BLOCK_IDS, hi - first_block * _BLOCK_IDS)
+            try:
+                _run_chunk(cfg, gens, lanes, worker, states[:, :, members],
+                           None if readouts is None else readouts[:, :, members])
+            except IntegratorError as exc:
+                raise IntegratorError(f"{exc} (streams {lo}..{hi - 1})") from exc
     return Ensemble(
         times=cfg.times,
         states=states.transpose(2, 0, 1),
@@ -383,64 +368,37 @@ def run_ensemble(cfg: SimConfig, count: int, keep_readouts: bool = True,
     )
 
 
-def _run_chunk(cfg: SimConfig, gens: list, lanes: slice, ahead: bool, states, readouts) -> None:
+def _run_chunk(cfg: SimConfig, gens: list, lanes: slice, worker, states, readouts) -> None:
     """Step one chunk from its initial states ``states[0]``: ``gens`` are its
     blocks' generators, ``lanes`` its members' columns among the blocks'
     columns, ``states``/``readouts`` its (time, coordinate, member) views.
 
     Draws sit in (block, step, channel, column) slices, so each block fills a
-    contiguous part; the kernel reads them transposed.  With ``ahead`` one
-    worker thread draws the slices in turn into two buffers, so that it draws
-    slice k + 1 while this thread steps slice k; without, this thread draws
-    each slice before stepping it.
+    contiguous part; the kernel reads them transposed.  The executor
+    ``worker`` draws slice k + 1 into one of two buffers while this thread
+    steps slice k from the other.  Slice k + 1 is submitted only after slice
+    k - 1, whose buffer it takes, was stepped, and is waited for before it is
+    stepped itself.
     """
     n = len(states) - 1
     cuts = [(k0, min(k0 + _SLICE, n)) for k0 in range(0, n, _SLICE)]
-    bufs = [np.empty((len(gens), min(_SLICE, n), 2, _BLOCK_IDS)) for _ in range(1 + ahead)]
+    bufs = [np.empty((len(gens), min(_SLICE, n), 2, _BLOCK_IDS)) for _ in range(2)]
 
     def noise(k):
         """Slice k's buffer, a (block, step, channel, column) view."""
         k0, k1 = cuts[k]
-        return bufs[k % len(bufs)][:, :k1 - k0]
+        return bufs[k % 2][:, :k1 - k0]
 
-    def step(k):
-        k0, k1 = cuts[k]
+    def draw(k):
+        """Slice k's draws, submitted to the worker; None past the last slice."""
+        return worker.submit(_draw, gens, noise(k)) if k < len(cuts) else None
+
+    drawn = draw(0)
+    for k, (k0, k1) in enumerate(cuts):
+        drawn.result()
+        drawn = draw(k + 1)
         _propagate(states[k0], noise(k).transpose(1, 2, 0, 3), cfg, states[k0:k1 + 1],
                    None if readouts is None else readouts[k0:k1], k0, lanes)
-
-    if not ahead:
-        for k in range(len(cuts)):
-            _draw(gens, noise(k))
-            step(k)
-        return
-    free, ready = threading.Semaphore(len(bufs)), threading.Semaphore(0)
-    stop, errors = threading.Event(), []
-
-    def produce():
-        try:
-            for k in range(len(cuts)):
-                free.acquire()
-                if stop.is_set():
-                    return
-                _draw(gens, noise(k))
-                ready.release()
-        except Exception as exc:  # raised again on the calling thread
-            errors.append(exc)
-            ready.release()
-
-    worker = threading.Thread(target=produce)
-    worker.start()
-    try:
-        for k in range(len(cuts)):
-            ready.acquire()
-            if errors:
-                raise errors[0]
-            step(k)
-            free.release()
-    finally:
-        stop.set()
-        free.release()
-        worker.join()
 
 
 def _sample_times(sample_times) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xzmeas.analytic import BoundaryCondition, SeriesError, SourceSpec, cond_avg_phase
+from xzmeas.core import DomainError
 from xzmeas.fpe import (
     KernelParams,
     _wrapped_gaussian,
@@ -23,6 +24,12 @@ DX = GRID[1] - GRID[0]
 def test_kernel_params():
     assert KP.diffusion == pytest.approx(0.5)  # D = 1/(2 tau)
     assert KernelParams.from_tau(2.0).diffusion == pytest.approx(0.25)
+    for diffusion in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            KernelParams(diffusion)
+    for t, t0 in ((1.0, 1.0), (0.5, 1.0), (math.nan, 0.0), (1.0, math.nan)):
+        with pytest.raises(DomainError):
+            transition_prob(0.0, t, 0.0, t0, KP)
 
 
 def test_transition_prob_normalized():

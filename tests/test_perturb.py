@@ -89,14 +89,6 @@ def test_var_tree_small_time_rate():
     assert rate_x == pytest.approx(expect_x, rel=1e-5)
 
 
-def test_as_printed_variant_differs():
-    v1 = cov_tree("zz", 1.0, 1.0, P)
-    v2 = cov_tree("zz", 1.0, 1.0, P, zz_first_term="as_printed")
-    assert v1 != v2
-    with pytest.raises(DomainError):
-        cov_tree("zz", 1.0, 1.0, P, zz_first_term="nope")
-
-
 def test_eig_decoherence_limits():
     # phi = 0: both channels dephase along z; rates add in one eigenvalue
     e0 = eig_decoherence(1.0, 0.5, 0.0)
@@ -137,6 +129,9 @@ def test_tree_params_validation():
     for gamma_x, gamma_z, x_in in ((math.nan, 1.0, 0.0), (1.0, math.nan, 0.0), (1.0, 1.0, math.nan)):
         with pytest.raises(DomainError):
             TreeParams(gamma_x, gamma_z, 0.1, 0.1, x_in, 1.0)
+    for gamma_z, gamma_phi in ((math.nan, 0.5), (0.5, math.nan), (0.0, 0.5), (0.5, -1.0)):
+        with pytest.raises(DomainError):
+            eig_decoherence(gamma_z, gamma_phi, 0.3)
 
 
 def test_full_correlator_matches_mc_at_low_efficiency():

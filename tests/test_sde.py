@@ -231,23 +231,13 @@ def _ensemble_digest(ens):
     return hashlib.sha256(ens.states.tobytes() + ens.r_z.tobytes() + ens.r_phi.tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("count, chunk", [(67, 5000), (65, 32), (2, 5000)])
-def test_ensemble_digest_independent_of_cpu_count(monkeypatch, count, chunk):
-    # uneven column ranges per thread, a last chunk of one member, and fewer
-    # members than CPUs
-    cfg = general_config(t_final=0.046, seed=11)
-    digests = {_ensemble_digest(_run_with(monkeypatch, cfg, count, chunk=chunk, cpus=cpus))
-               for cpus in (1, 2, 3)}
-    assert len(digests) == 1
-
-
 class _DrawFailed(Exception):
     pass
 
 
 def test_noise_error_on_a_started_thread_reaches_the_caller(monkeypatch):
-    # with two CPUs one started thread draws every noise slice; an error there
-    # is raised on the calling thread, after the join
+    # one started thread draws every noise slice; an error there is raised on
+    # the calling thread, after the join
     cfg = ideal_xz_config(t_final=1.0)
     assert cfg.n_steps > sde._SLICE
     draw, threads = sde._draw, []
@@ -260,14 +250,9 @@ def test_noise_error_on_a_started_thread_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(sde, "_draw", fail_second_slice)
     with pytest.raises(_DrawFailed):
-        _run_with(monkeypatch, cfg, 10, chunk=5120, cpus=2)
+        _run_with(monkeypatch, cfg, 10, chunk=5120)
     assert threads[0] is threads[1] is not threading.main_thread()
     assert not threads[0].is_alive()
-    # with one CPU the calling thread draws every slice itself
-    threads.clear()
-    with pytest.raises(_DrawFailed):
-        _run_with(monkeypatch, cfg, 10, chunk=5120, cpus=1)
-    assert threads == [threading.main_thread()] * 2
 
 
 def test_integrator_error_stops_the_noise_thread(monkeypatch):
@@ -284,14 +269,14 @@ def test_integrator_error_stops_the_noise_thread(monkeypatch):
 
     monkeypatch.setattr(sde, "_draw", blow_up_at_step_7)
     with pytest.raises(IntegratorError, match=r"step 7 \(streams 0\.\.9\)"):
-        _run_with(monkeypatch, cfg, 10, chunk=5120, cpus=2)
-    workers[0].join(timeout=10)
+        _run_with(monkeypatch, cfg, 10, chunk=5120)
+    # run_ensemble has joined the worker before the error leaves it
     assert not workers[0].is_alive() and len(workers) <= 2
 
 
 def test_stream_ids_past_2_pow_64_rejected_before_drawing(monkeypatch):
     cfg = ideal_xz_config(t_final=0.1, seed=2)
-    ok = _run_with(monkeypatch, cfg, 6, chunk=5120, cpus=2, stream_offset=2**64 - 6)
+    ok = _run_with(monkeypatch, cfg, 6, chunk=5120, stream_offset=2**64 - 6)
     assert ok.stream_ids.tolist() == list(range(2**64 - 6, 2**64))
 
     def no_draws(gens, out):
@@ -300,24 +285,30 @@ def test_stream_ids_past_2_pow_64_rejected_before_drawing(monkeypatch):
     monkeypatch.setattr(sde, "_draw", no_draws)
     for offset, count in ((2**64 - 6, 7), (2**64, 1), (-1, 3)):
         with pytest.raises(OverflowError):
-            _run_with(monkeypatch, cfg, count, chunk=5120, cpus=2, stream_offset=offset)
+            _run_with(monkeypatch, cfg, count, chunk=5120, stream_offset=offset)
 
 
-def _run_with(monkeypatch, cfg, count, chunk, cpus, **kw):
-    """run_ensemble with the chunk width and usable CPU count replaced."""
+def _run_with(monkeypatch, cfg, count, chunk, **kw):
+    """run_ensemble with the chunk width replaced."""
     monkeypatch.setattr(sde, "_CHUNK", chunk)
-    monkeypatch.setattr(sde, "_usable_cpus", lambda: cpus)
     return run_ensemble(cfg, count, **kw)
 
 
 def test_ensemble_deterministic_across_workers_and_chunks(monkeypatch):
+    # each call draws on a worker of its own, which has ended when it returns
     cfg = ideal_xz_config(t_final=0.2, seed=9)
-    e1 = _run_with(monkeypatch, cfg, 64, chunk=16, cpus=1)
-    e2 = _run_with(monkeypatch, cfg, 64, chunk=16, cpus=4)
-    e3 = _run_with(monkeypatch, cfg, 64, chunk=64, cpus=2)
+    draw, workers = sde._draw, set()
+
+    def draw_and_note(gens, out):
+        workers.add(threading.current_thread())
+        draw(gens, out)
+
+    monkeypatch.setattr(sde, "_draw", draw_and_note)
+    e1 = _run_with(monkeypatch, cfg, 64, chunk=16)
+    e2 = _run_with(monkeypatch, cfg, 64, chunk=64)
     assert np.array_equal(e1.states, e2.states)
-    assert np.array_equal(e1.states, e3.states)
     assert np.array_equal(e1.r_z, e2.r_z)
+    assert len(workers) == 2 and not any(w.is_alive() for w in workers)
 
 
 def test_ensemble_members_match_single_trajectories():
@@ -347,12 +338,11 @@ def test_block_draws_independent_of_slice_length(monkeypatch):
         for k0 in range(0, n, width):
             sde._draw(gens, out[:, k0:k0 + width])
         assert np.array_equal(out, np.stack(blocks))
-    ref = _run_with(monkeypatch, cfg, 70, chunk=5120, cpus=1)
+    ref = _run_with(monkeypatch, cfg, 70, chunk=5120)
     for width in (1, 7, 1000):
         monkeypatch.setattr(sde, "_SLICE", width)
-        for cpus in (1, 2):
-            ens = _run_with(monkeypatch, cfg, 70, chunk=5120, cpus=cpus)
-            assert _ensemble_digest(ens) == _ensemble_digest(ref)
+        ens = _run_with(monkeypatch, cfg, 70, chunk=5120)
+        assert _ensemble_digest(ens) == _ensemble_digest(ref)
     for s in (0, 63, 64, 69):
         xi = blocks[s // 64][:, :, s % 64][:, :, None]
         states, readouts = kernel_run(cfg, cfg.initial_state.as_array()[:, None], xi)
@@ -361,14 +351,16 @@ def test_block_draws_independent_of_slice_length(monkeypatch):
         assert np.array_equal(ref.r_phi[s], readouts[:, 1, 0])
 
 
-@pytest.mark.parametrize("chunk, cpus", [(5120, 1), (5120, 2), (64, 2), (7, 1), (3, 3)])
-def test_member_same_in_every_ensemble(monkeypatch, chunk, cpus):
+@pytest.mark.parametrize("chunk, width", [(5120, 1), (5120, 2), (64, 2), (7, 1), (3, 3)])
+def test_member_same_in_every_ensemble(monkeypatch, chunk, width):
     # offsets and counts that start and end inside a block, span several
-    # blocks, or hold one member
+    # blocks, or hold one member, stepped through noise slices of ``width``
+    # steps, so that each chunk reuses its two buffers many times
     cfg = general_config(t_final=0.03, seed=13)
-    full = _run_with(monkeypatch, cfg, 200, chunk=5120, cpus=1)
+    full = _run_with(monkeypatch, cfg, 200, chunk=5120)
+    monkeypatch.setattr(sde, "_SLICE", width)
     for offset, count in ((0, 200), (5, 3), (60, 10), (63, 66), (64, 64), (130, 70), (199, 1)):
-        ens = _run_with(monkeypatch, cfg, count, chunk=chunk, cpus=cpus, stream_offset=offset)
+        ens = _run_with(monkeypatch, cfg, count, chunk=chunk, stream_offset=offset)
         assert np.array_equal(ens.states, full.states[offset:offset + count])
         assert np.array_equal(ens.r_z, full.r_z[offset:offset + count])
         assert np.array_equal(ens.r_phi, full.r_phi[offset:offset + count])
@@ -421,23 +413,25 @@ def test_long_float_path_equals_row_path(cfg):
 
 
 def test_ensemble_bit_identical_across_chunk_widths(monkeypatch):
-    # odd widths and a step count off the kernel's block size; the ideal
-    # channels exercise the norm projection, the general ones every coefficient.
-    # Each chunk's noise is drawn into disjoint columns from more threads than
-    # cores, switching often, so a range written to the wrong columns shows as
-    # a mismatch
+    # odd widths and a step count off the slice length; the ideal channels
+    # exercise the norm projection, the general ones every coefficient.  Chunks
+    # wider than the ensemble, a last chunk of one member (65 in chunks of 32)
+    # and a two-member ensemble equal the leading members of the reference.
+    # The worker draws each slice while the caller steps the one before,
+    # switching threads often, so a slice stepped before it is drawn, or a
+    # buffer drawn into before its slice is stepped, shows as a mismatch
     interval = sys.getswitchinterval()
     for cfg in (ideal_xz_config(t_final=0.23, seed=4), general_config(t_final=0.046, seed=4)):
-        ref = _run_with(monkeypatch, cfg, 67, chunk=67, cpus=1)
-        for chunk in (1, 3, 7, 33):
+        ref = _run_with(monkeypatch, cfg, 67, chunk=67)
+        for count, chunk in ((67, 1), (67, 3), (67, 7), (67, 33), (67, 5000), (65, 32), (2, 5000)):
             sys.setswitchinterval(1e-5)
             try:
-                ens = _run_with(monkeypatch, cfg, 67, chunk=chunk, cpus=4)
+                ens = _run_with(monkeypatch, cfg, count, chunk=chunk)
             finally:
                 sys.setswitchinterval(interval)
-            assert np.array_equal(ens.states, ref.states)
-            assert np.array_equal(ens.r_z, ref.r_z)
-            assert np.array_equal(ens.r_phi, ref.r_phi)
+            assert np.array_equal(ens.states, ref.states[:count])
+            assert np.array_equal(ens.r_z, ref.r_z[:count])
+            assert np.array_equal(ens.r_phi, ref.r_phi[:count])
         for sid in (0, 5, 66):
             one = run_ensemble(cfg, 1, stream_offset=sid)
             assert np.array_equal(one.states[0], ref.states[sid])
@@ -447,9 +441,9 @@ def test_ensemble_bit_identical_across_chunk_widths(monkeypatch):
 
 def test_ensemble_stream_offset_slabs_match_full_run(monkeypatch):
     cfg = ideal_xz_config(t_final=0.2, seed=9)
-    full = _run_with(monkeypatch, cfg, 64, chunk=17, cpus=2)
-    lo = _run_with(monkeypatch, cfg, 32, chunk=9, cpus=2)
-    hi = _run_with(monkeypatch, cfg, 32, chunk=9, cpus=2, stream_offset=32)
+    full = _run_with(monkeypatch, cfg, 64, chunk=17)
+    lo = _run_with(monkeypatch, cfg, 32, chunk=9)
+    hi = _run_with(monkeypatch, cfg, 32, chunk=9, stream_offset=32)
     assert np.array_equal(full.states, np.concatenate([lo.states, hi.states]))
     assert np.array_equal(full.r_z, np.concatenate([lo.r_z, hi.r_z]))
     assert np.array_equal(hi.stream_ids, np.arange(32, 64))
@@ -475,7 +469,7 @@ def test_saved_views_equal_saved_contiguous_copies(tmp_path, monkeypatch, count,
     # member) blocks; they must be saved in C order, byte for byte as C
     # copies, never with fortran_order.  22 members in chunks of 7 end on a
     # chunk of one.
-    ens = _run_with(monkeypatch, ideal_xz_config(t_final=0.2, seed=4), count, chunk=chunk, cpus=2)
+    ens = _run_with(monkeypatch, ideal_xz_config(t_final=0.2, seed=4), count, chunk=chunk)
     copies = dataclasses.replace(
         ens, **{k: np.ascontiguousarray(getattr(ens, k)) for k in ("states", "r_z", "r_phi")})
     save_ensemble(tmp_path / "views.npz", ens)
