@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -229,6 +230,20 @@ def test_seeds_above_2_pow_63_keep_their_own_streams():
 
 def _ensemble_digest(ens):
     return hashlib.sha256(ens.states.tobytes() + ens.r_z.tobytes() + ens.r_phi.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("count, chunk", [(67, 5000), (65, 32), (2, 5000)])
+def test_ensemble_digest_independent_of_cpu_count(monkeypatch, count, chunk):
+    # the machine's reported CPU count must not reach the output, with a
+    # chunk wider than the ensemble, a last chunk of one member, and fewer
+    # members than CPUs
+    cfg = general_config(t_final=0.046, seed=11)
+    digests = set()
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        digests.add(_ensemble_digest(_run_with(monkeypatch, cfg, count, chunk=chunk)))
+    assert len(digests) == 1
 
 
 class _DrawFailed(Exception):
