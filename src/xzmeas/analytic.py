@@ -7,6 +7,9 @@ average in closed form, from which the z/x correlators follow by weighting
 the +-1 source amplitudes.  One array kernel, ``_source_average``, does so
 for all sign patterns and all time rows (a whole t1 grid) at once: s^T G s of
 every sign vector in one contraction, and the winding ratio on all sums S.
+Both branches of the winding series sum a fixed ``MAX_WINDINGS`` windings
+(Fourier modes when resummed) either side of the peak: a module constant, not
+an argument.  A tail term above ``SERIES_TOL`` of the peak raises SeriesError.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from .core import BlochState, DomainError, polar_to_bloch
 #: decays ~exp(-(T/2tau) k^2) and takes over for long horizons.
 RESUM_THRESHOLD = 1.0
 
-#: hard cap on the winding index
+#: windings (or Fourier modes) either side of the peak term; fixed
 MAX_WINDINGS = 64
 
 SERIES_TOL = 1e-12
@@ -63,20 +66,6 @@ class BoundaryCondition:
         return self.theta_f is not None
 
 
-@dataclass(frozen=True)
-class SourceSpec:
-    """Impulse sources (s_j, t_j) with s_j = +-1 and times sorted ascending."""
-
-    points: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        ts = [t for _, t in self.points]
-        if sorted(ts) != ts:
-            raise DomainError("source times must be sorted ascending")
-        if any(s not in (-1, 1) for s, _ in self.points):
-            raise DomainError("source amplitudes must be +-1")
-
-
 def green(t, t2, T: float):
     """Green's function of d^2/dt^2 with homogeneous boundary conditions on [0, T].
 
@@ -89,11 +78,10 @@ def green(t, t2, T: float):
 
 
 def _normalize_sources(src) -> list[tuple[int, float]]:
-    pts = src.points if isinstance(src, SourceSpec) else tuple(src)
-    return [(int(s), float(t)) for s, t in pts if s != 0]
+    return [(int(s), float(t)) for s, t in src if s != 0]
 
 
-def _winding_ratio(dtheta, S, T: float, tau: float, n_max: int, resummed=None):
+def _winding_ratio(dtheta, S, T: float, tau: float, resummed=None):
     """Ratio of the source-shifted to plain winding sums, elementwise in ``S``.
 
     Direct form: terms exp[-(dtheta + 2 pi n)^2 tau/(2T) + i (dtheta + 2 pi n) S/T].
@@ -103,9 +91,9 @@ def _winding_ratio(dtheta, S, T: float, tau: float, n_max: int, resummed=None):
     if resummed is None:
         resummed = T / tau > RESUM_THRESHOLD
     if resummed:
-        return _winding_ratio_resummed(dtheta, S, T, tau, n_max)
+        return _winding_ratio_resummed(dtheta, S, T, tau, MAX_WINDINGS)
     center = -round(dtheta / (2 * math.pi))
-    u = dtheta + 2 * math.pi * np.arange(center - n_max, center + n_max + 1)
+    u = dtheta + 2 * math.pi * np.arange(center - MAX_WINDINGS, center + MAX_WINDINGS + 1)
     expo = -(u**2) * tau / (2 * T)
     expo -= _check_tails(expo)
     keep = expo >= -_EXP_UNDERFLOW  # the weights that are not exactly 0.0
@@ -161,15 +149,13 @@ def _check_tails(expo: np.ndarray) -> np.ndarray:
     return peak
 
 
-def _source_average(signs, times, bc, n_max=MAX_WINDINGS, resummed=None) -> np.ndarray:
+def _source_average(signs, times, bc, resummed=None) -> np.ndarray:
     """Averages of exp[i sum_j s_j theta(t_j)], one per time row and sign row.
 
     ``signs`` is (k, n), ``times`` (m, n), the result (m, k).  Without
     post-selection this is the T -> infinity limit, with winding ratio 1.
     ``resummed`` forces a branch of the winding series (``_winding_ratio``).
     """
-    if n_max < 1 or n_max > MAX_WINDINGS:
-        raise DomainError(f"n_max must lie in [1, {MAX_WINDINGS}]")
     T = bc.t_total if bc.post_selected else math.inf
     if not np.all((0 <= times) & (times <= T)):
         raise DomainError("source times must lie in [0, T]")
@@ -178,14 +164,14 @@ def _source_average(signs, times, bc, n_max=MAX_WINDINGS, resummed=None) -> np.n
     avg = np.exp(quad / (2 * bc.tau_m) + 1j * bc.theta_in * signs.sum(axis=1))
     if bc.post_selected:
         S = np.einsum("mn,kn->mk", times, signs)
-        avg *= _winding_ratio(bc.theta_f - bc.theta_in, S, T, bc.tau_m, n_max, resummed)
+        avg *= _winding_ratio(bc.theta_f - bc.theta_in, S, T, bc.tau_m, resummed)
     return avg
 
 
-def cond_avg_phase(src, bc: BoundaryCondition, n_max: int = MAX_WINDINGS) -> complex:
+def cond_avg_phase(src, bc: BoundaryCondition) -> complex:
     """Pre/post-selected average of exp[i sum_j s_j theta(t_j)].
 
-    ``src`` is a SourceSpec or iterable of (s, t) pairs; entries with s = 0
+    ``src`` is an iterable of (s, t) pairs in any order; entries with s = 0
     are dropped, so the empty source returns exactly 1.  This is
     ``_source_average`` on one row.
     """
@@ -193,13 +179,13 @@ def cond_avg_phase(src, bc: BoundaryCondition, n_max: int = MAX_WINDINGS) -> com
     if not pts:
         return 1.0 + 0.0j
     signs, times = np.array(pts, dtype=float).T
-    return complex(_source_average(signs[None], times[None], bc, n_max)[0, 0])
+    return complex(_source_average(signs[None], times[None], bc)[0, 0])
 
 
 _POINT_KINDS = {"z", "x"}
 
 
-def correlator_npoint(kinds, times, bc: BoundaryCondition, n_max: int = MAX_WINDINGS):
+def correlator_npoint(kinds, times, bc: BoundaryCondition):
     """General n-point correlator <a1(t1)...an(tn)> for a1.. in {x, z}.
 
     ``times`` of shape (n,) gives a float, an (m, n) array m values.  Each z
@@ -221,14 +207,14 @@ def correlator_npoint(kinds, times, bc: BoundaryCondition, n_max: int = MAX_WIND
     weights = np.ones(2**n, dtype=complex)
     for j, k in enumerate(kinds):
         weights *= 0.5 if k == "z" else signs[:, j] / 2j
-    total = np.einsum("mk,k->m", _source_average(signs, rows, bc, n_max), weights)
+    total = np.einsum("mk,k->m", _source_average(signs, rows, bc), weights)
     worst = float(np.max(np.abs(total.imag), initial=0.0))
     if worst > 1e-12:
         raise SeriesError(f"correlator has spurious imaginary part {worst:.3g}")
     return float(total.real[0]) if times.ndim == 1 else total.real
 
 
-def correlator_cond(kind: str, t1, t2: float, bc: BoundaryCondition, n_max: int = MAX_WINDINGS):
+def correlator_cond(kind: str, t1, t2: float, bc: BoundaryCondition):
     """Pre/post-selected two-time correlator; kind in {zz, zx, xz, xx}.
 
     A scalar ``t1`` gives a float, a 1-D array an ndarray.  xx is evaluated
@@ -242,13 +228,13 @@ def correlator_cond(kind: str, t1, t2: float, bc: BoundaryCondition, n_max: int 
         kind, bc = "zz", replace(bc, theta_in=bc.theta_in - math.pi / 2, theta_f=rotated)
     elif kind not in ("zz", "zx"):
         raise DomainError(f"unknown correlator kind {kind!r}")
-    return correlator_npoint(kind, pairs, bc, n_max)
+    return correlator_npoint(kind, pairs, bc)
 
 
 def correlator_pre(kind: str, t1, t2, theta_in: float, tau_m: float):
     """Pre-selected-only correlators in closed form; scalars give a float."""
     t1, t2 = np.asarray(t1, dtype=float), np.asarray(t2, dtype=float)
-    if np.any(t1 < 0) or np.any(t2 < 0):
+    if not (np.all(t1 >= 0) and np.all(t2 >= 0)):  # negated so that NaN fails
         raise DomainError("times must be >= 0")
     if kind == "xx":
         return correlator_pre("zz", t1, t2, theta_in - math.pi / 2, tau_m)
@@ -264,7 +250,7 @@ def correlator_pre(kind: str, t1, t2, theta_in: float, tau_m: float):
     return float(out) if out.ndim == 0 else out
 
 
-def subens_avg_state(t, bc: BoundaryCondition, n_max: int = MAX_WINDINGS):
+def subens_avg_state(t, bc: BoundaryCondition):
     """Bloch vector averaged over the pre- and post-selected sub-ensemble.
 
     A scalar ``t`` gives a BlochState, an array of times an array of shape
@@ -279,7 +265,7 @@ def subens_avg_state(t, bc: BoundaryCondition, n_max: int = MAX_WINDINGS):
     if not np.all((0 <= ts) & (ts <= T)):
         raise DomainError("t must lie in [0, T]")
     flat = ts.reshape(-1)
-    avg = _source_average(np.ones((1, 1)), flat[:, None], bc, n_max, resummed=False)[:, 0]
+    avg = _source_average(np.ones((1, 1)), flat[:, None], bc, resummed=False)[:, 0]
     q = np.stack([avg.imag, np.zeros(len(flat)), avg.real], axis=-1)
     q[flat == 0.0] = polar_to_bloch(bc.theta_in).as_array()
     q[flat == T] = polar_to_bloch(bc.theta_f).as_array()

@@ -119,8 +119,8 @@ MAX_DT_OVER_TAU = 0.05
 class SimConfig:
     """Full configuration of one stochastic simulation.
 
-    ``channels`` is the (z-channel, phi-channel) pair.  ``t_final`` must be an
-    integer number of steps ``dt``.
+    ``channels`` is the (z-channel, phi-channel) pair.  ``t_final`` must be a
+    whole number of steps ``dt``, at least one (NaN fails).
     """
 
     channels: tuple[ChannelConfig, ChannelConfig]
@@ -136,7 +136,7 @@ class SimConfig:
         if not self.dt > 0:
             raise DomainError(f"dt must be positive, got {self.dt}")
         n = self.t_final / self.dt
-        if not 0 < self.t_final < math.inf or abs(n - round(n)) > 1e-9 * max(1.0, n):
+        if not 0.5 <= n < math.inf or abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise DomainError("t_final must be a positive integer multiple of dt")
         worst = max(1.0 / c.tau for c in self.channels)
         if self.dt * worst > MAX_DT_OVER_TAU + 1e-12:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DomainError, write_table
-from .sde import _philox, polar_bridge, polar_ensemble, polar_states
+from .sde import _philox, _sample_times, polar_bridge, polar_ensemble, polar_states
 
 _COORD = {"x": 0, "y": 1, "z": 2}
 _SQRT2 = math.sqrt(2.0)
@@ -218,7 +218,7 @@ def select_polar(crit: SelectionCriterion, tau_m: float, times, count: int,
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    times = np.asarray(times, dtype=float)
+    times = _sample_times(times)
     idx = _horizon(times, crit)
     horizon = times[idx:idx + 1]
     if crit.theta_f is None:

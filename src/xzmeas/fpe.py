@@ -4,7 +4,8 @@ Provides a fully independent route to the conditional averages of the ideal
 XZ case: the transition probability solves the diffusion equation on the
 circle, the two-sided densities condition it on both boundary states, and the
 source averages come out either as a rapidly convergent series or (for test
-oracles) by direct quadrature.
+oracles) by direct quadrature.  The Fourier series sum at most the fixed
+``MAX_MODES`` modes; the wrapped Gaussian, every winding whose term is not 0.0.
 """
 from __future__ import annotations
 
@@ -26,6 +27,9 @@ from .core import DomainError
 #: crossover D*(t - t0) between wrapped-Gaussian and Fourier-series evaluation
 CROSSOVER = 0.01
 
+#: Fourier modes the heat-kernel and conditioned-average series may sum
+MAX_MODES = 128
+
 
 class ConditioningError(RuntimeError):
     """Post-selection probability vanished numerically."""
@@ -33,26 +37,26 @@ class ConditioningError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Diffusion constant D = 1/(2 tau_m) and a winding/mode cap."""
+    """Diffusion constant D = 1/(2 tau_m)."""
 
     diffusion: float
-    n_max: int = 128
 
     def __post_init__(self):
         if not self.diffusion > 0:  # negated so that NaN fails
             raise DomainError("diffusion must be positive")
 
     @classmethod
-    def from_tau(cls, tau_m: float, n_max: int = 128) -> "KernelParams":
-        return cls(diffusion=1.0 / (2.0 * tau_m), n_max=n_max)
+    def from_tau(cls, tau_m: float) -> "KernelParams":
+        return cls(diffusion=1.0 / (2.0 * tau_m))
 
 
 def transition_prob(theta, t: float, theta0: float, t0: float, kp: KernelParams):
     """Heat-kernel density P(theta, t | theta0, t0) on the circle.
 
     Fourier series for diffusive spreads, wrapped Gaussian below the
-    crossover; both converge to 1e-14 in the overlap region.  ``theta`` may
-    be an array.  The kernel is symmetric under theta <-> theta0 (detailed
+    crossover; both converge to 1e-14 in the overlap region.  ``theta`` and
+    ``theta0`` broadcast; a 0-d result is a Python float, any other an
+    ndarray.  The kernel is symmetric under theta <-> theta0 (detailed
     balance w.r.t. the uniform measure).
     """
     if not t > t0:  # negated so that NaN fails
@@ -60,38 +64,35 @@ def transition_prob(theta, t: float, theta0: float, t0: float, kp: KernelParams)
     x = kp.diffusion * (t - t0)
     d = np.asarray(theta, dtype=float) - np.asarray(theta0, dtype=float)
     if x < CROSSOVER:
-        result = _wrapped_gaussian(d, x, kp.n_max)
+        result = _wrapped_gaussian(d, x)
     else:
-        result = _fourier_kernel(d, x, kp.n_max)
-    if isinstance(theta, np.ndarray) or isinstance(theta0, np.ndarray):
-        return result
-    return float(result)
+        result = _fourier_kernel(d, x)
+    return float(result) if result.ndim == 0 else result
 
 
-def _wrapped_gaussian(d, x: float, n_max: int):
+def _wrapped_gaussian(d, x: float):
     """Heat kernel as a wrapped Gaussian of variance 2x, x = D*(t - t0).
 
-    Sums only the windings n in [-n_max, n_max] with u^2/(2 var) <=
-    ``_EXP_UNDERFLOW`` for some d, u = d + 2 pi n, in increasing order.  Every
-    other term is exactly 0.0, so the sum is bit-identical to the full one.
+    Each d sums, in increasing order, only its own windings n with u^2/(2 var)
+    <= ``_EXP_UNDERFLOW``, u = d + 2 pi n, however large d is.  Every other term
+    is exactly 0.0, so the sum is bit-identical to the full one.  Non-finite d
+    gives NaN.
     """
     var = 2.0 * x
+    reach = math.sqrt(2 * var * _EXP_UNDERFLOW)
+    n = np.ceil((-reach - d) / (2 * math.pi))  # each d's lowest winding in reach
     out = np.zeros_like(d)
-    lo, hi = -n_max, n_max
-    if out.size and np.isfinite(d).all():
-        reach = math.sqrt(2 * var * _EXP_UNDERFLOW)
-        lo = max(lo, math.ceil((-reach - d.max()) / (2 * math.pi)))
-        hi = min(hi, math.floor((reach - d.min()) / (2 * math.pi)))
-    for n in range(lo, hi + 1):
+    for _ in range(math.floor(reach / math.pi) + 1):
         u = d + 2 * math.pi * n
         out += np.exp(-(u**2) / (2 * var)) / math.sqrt(2 * math.pi * var)
+        n += 1
     return out
 
 
-def _fourier_kernel(d, x: float, n_max: int):
+def _fourier_kernel(d, x: float):
     """Heat kernel as a cosine series, truncated adaptively at 1e-14."""
     out = np.ones_like(d)
-    for n in range(1, n_max + 1):
+    for n in range(1, MAX_MODES + 1):
         amp = math.exp(-x * n * n)
         out += 2.0 * amp * np.cos(n * d)
         if amp < 1e-14:
@@ -142,7 +143,7 @@ def cond_avg_fpe(src, bc: BoundaryCondition, kp: KernelParams) -> complex:
         - D * (s1 * s1 * t1 + s2 * s2 * t2 + 2 * s1 * s2 * t1)
         + D * S * S / T
     )
-    ratio = _winding_ratio_resummed(bc.theta_f - bc.theta_in, S, T, 1 / (2 * D), kp.n_max)
+    ratio = _winding_ratio_resummed(bc.theta_f - bc.theta_in, S, T, 1 / (2 * D), MAX_MODES)
     return cmath.exp(expo) * complex(ratio)
 
 

@@ -65,7 +65,7 @@ def eig_decoherence(gamma_z: float, gamma_phi: float, phi: float) -> EigenDecomp
 def mean_tree(coord: str, t, p: TreeParams):
     """Free propagation of the initial vertex: the tree-level mean."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
+    if not np.all(t >= 0):  # negated so that NaN fails
         raise DomainError("t must be >= 0")
     if coord == "x":
         out = p.x_in * np.exp(-p.gamma_z * t)
@@ -81,7 +81,7 @@ def cov_tree(kind: str, t1, t2, p: TreeParams) -> float | np.ndarray:
     z-z term is the corrected one (see module notes)."""
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
-    if np.any(t1 < 0) or np.any(t2 < 0):
+    if not (np.all(t1 >= 0) and np.all(t2 >= 0)):  # negated so that NaN fails
         raise DomainError("times must be >= 0")
     tmin = np.minimum(t1, t2)
     gx, gz = p.gamma_x, p.gamma_z

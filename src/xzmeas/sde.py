@@ -45,12 +45,11 @@ from __future__ import annotations
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NORM_TOL, SimConfig, open_rewrite
+from .core import NORM_TOL, DomainError, SimConfig, open_rewrite
 
 
 class IntegratorError(RuntimeError):
@@ -334,6 +333,7 @@ def run_ensemble(cfg: SimConfig, count: int, keep_readouts: bool = True,
     thread makes them.  An error in a draw is raised on the calling thread.  An
     IntegratorError names the step and the chunk's stream range.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here, as it imports logging
     if count < 1:
         raise ValueError("count must be >= 1")
     if stream_offset < 0 or stream_offset + count > 2**64:
@@ -403,8 +403,8 @@ def _run_chunk(cfg: SimConfig, gens: list, lanes: slice, worker, states, readout
 
 def _sample_times(sample_times) -> np.ndarray:
     t = np.asarray(sample_times, dtype=float)
-    if t.ndim != 1 or len(t) == 0 or np.any(np.diff(t) <= 0) or t[0] < 0:
-        raise ValueError("sample_times must be strictly increasing and >= 0")
+    if t.ndim != 1 or len(t) == 0 or not (t[0] >= 0 and np.all(np.diff(t) > 0)):  # NaN fails
+        raise DomainError(f"sample_times must be strictly increasing and >= 0, got {t}")
     return t
 
 

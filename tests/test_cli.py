@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -207,6 +211,51 @@ def test_nan_field_exits_config(tmp_path, capsys, mode, where, field):
     err = capsys.readouterr().err
     assert err.startswith("config error") and field in err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["analytic", "perturb", "compare"])
+@pytest.mark.parametrize("field", ["t1_grid", "t2"])
+def test_nan_time_exits_config(tmp_path, capsys, mode, field):
+    # unchecked, a pre-selected analytic run and a perturb run wrote NaN rows
+    # with exit 0, and compare blamed a finite time for the NaN it met
+    out = tmp_path / "out"
+    make = {"analytic": lambda o: dict(analytic_config(o), theta_f=None, t_total=None),
+            "perturb": perturb_config, "compare": lambda o: compare_config(o, count=100)}
+    cfg = make[mode](out)
+    cfg[field] = [0.5, math.nan, 1.0] if field == "t1_grid" else math.nan
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error [DomainError]") and ">= 0" in err
+    if mode == "compare":
+        assert err.rstrip().endswith("nan]")  # the sampled grid, its NaN named
+    assert not (out / "manifest.json").exists()
+
+
+def test_fpe_theta_in_far_from_theta_f_runs(tmp_path):
+    # theta_in 200 windings out: the wrapped Gaussian's old winding cap gave
+    # a zero post-selection probability and a ConditioningError
+    out = tmp_path / "out"
+    shift = 400 * math.pi
+    base = {"schema_version": 1, "mode": "fpe", "theta_f": 1.1, "t_total": 0.02,
+            "tau_m": 1.0, "times": [0.005, 0.01, 0.015], "theta_points": 61}
+    for name, theta_in in (("far", 1.0 + shift), ("near", 1.0)):
+        cfg = dict(base, output_dir=str(out / name), theta_in=theta_in)
+        assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_OK
+    far, near = (np.loadtxt(out / n / "fpe_density.csv", delimiter=",", skiprows=1)
+                 for n in ("far", "near"))
+    np.testing.assert_allclose(far, near, rtol=0, atol=1e-11 * near[:, 1:].max())
+
+
+def test_import_leaves_the_executor_out():
+    # concurrent.futures imports logging, threading's queue and more; only
+    # run_ensemble needs it, and a campaign that runs no ensemble pays nothing
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, xzmeas.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("channels", [1, 3])

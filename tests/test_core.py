@@ -109,7 +109,7 @@ def test_sim_config_grid_validation():
         SimConfig(_channels(), dt=-0.01, t_final=1.0)
     with pytest.raises(DomainError):
         SimConfig(_channels(), dt=0.03, t_final=1.0)  # not a multiple
-    for dt, t_final in ((math.nan, 1.0), (0.01, math.nan), (0.01, math.inf)):
+    for dt, t_final in ((math.nan, 1.0), (0.01, math.nan), (0.01, math.inf), (0.01, 1e-12)):
         with pytest.raises(DomainError):
             SimConfig(_channels(), dt=dt, t_final=t_final)
     with pytest.raises(DomainError, match="axis_angle"):

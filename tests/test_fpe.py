@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from xzmeas.analytic import BoundaryCondition, SeriesError, SourceSpec, cond_avg_phase
+from xzmeas import fpe
+from xzmeas.analytic import BoundaryCondition, SeriesError, cond_avg_phase
 from xzmeas.core import DomainError
 from xzmeas.fpe import (
     KernelParams,
@@ -32,6 +33,34 @@ def test_kernel_params():
             transition_prob(0.0, t, 0.0, t0, KP)
 
 
+@pytest.mark.parametrize("t", [0.01, 1.0])  # wrapped Gaussian and Fourier series
+def test_transition_prob_is_a_float_exactly_when_0d(t):
+    # a list theta raised TypeError and a 0-d array gave np.float64
+    values = transition_prob([0.2, 1.3], t, 0.7, 0.0, KP)
+    assert isinstance(values, np.ndarray) and values.shape == (2,)
+    np.testing.assert_array_equal(values, transition_prob(np.array([0.2, 1.3]), t, 0.7, 0.0, KP))
+    for theta, theta0 in ((np.array(0.2), 0.7), (0.2, np.array(0.7)), (np.float64(0.2), 0.7)):
+        p = transition_prob(theta, t, theta0, 0.0, KP)
+        assert type(p) is float and p == transition_prob(0.2, t, 0.7, 0.0, KP)
+    assert transition_prob(np.array([0.2]), t, 0.7, 0.0, KP).shape == (1,)
+
+
+@pytest.mark.parametrize("t", [0.01, 1.0])  # D t on both sides of CROSSOVER
+def test_kernel_independent_of_theta0_winding(t):
+    # theta0 shifted by 200 windings: the wrapped Gaussian's winding cap
+    # used to leave every term out and return 0.0
+    shift = 400 * math.pi
+    theta = np.linspace(0.5, 1.5, 11)
+    np.testing.assert_allclose(transition_prob(theta, t, 1.0 + shift, 0.0, KP),
+                               transition_prob(theta, t, 1.0, 0.0, KP), rtol=1e-11)
+    assert transition_prob(1.05, t, 1.0 + shift, 0.0, KP) == pytest.approx(
+        transition_prob(1.05, t, 1.0, 0.0, KP), rel=1e-11)
+    bc = BoundaryCondition(theta_in=1.0, tau_m=1.0, theta_f=1.1, t_total=2 * t)
+    far = BoundaryCondition(theta_in=1.0 + shift, tau_m=1.0, theta_f=1.1, t_total=2 * t)
+    np.testing.assert_allclose(two_sided_density(theta, t, far, KP),
+                               two_sided_density(theta, t, bc, KP), rtol=1e-11)
+
+
 def test_transition_prob_normalized():
     for t in (0.01, 0.1, 1.0, 10.0):
         p = transition_prob(GRID, t, 0.7, 0.0, KP)
@@ -44,30 +73,33 @@ def test_transition_prob_series_vs_wrapped_gaussian():
     from xzmeas.fpe import _fourier_kernel, _wrapped_gaussian
 
     for x in (0.005, 0.008, 0.01, 0.012, 0.02):
-        a = _fourier_kernel(GRID - 0.7, x, KP.n_max)
-        b = _wrapped_gaussian(GRID - 0.7, x, KP.n_max)
+        a = _fourier_kernel(GRID - 0.7, x)
+        b = _wrapped_gaussian(GRID - 0.7, x)
         assert np.max(np.abs(a - b)) < 1e-12
 
 
 @pytest.mark.parametrize("x", [1e-6, 1e-3, 0.0099])
 def test_wrapped_gaussian_truncation_is_exact(x):
-    # every winding of the cap, in the same order: the windings left out
-    # contribute exactly 0.0, so the truncated sum matches bit for bit.  The
-    # points with u^2/(2 var) = 730 get only a subnormal term, which a
-    # truncation that reaches too short would lose
-    n_max = KP.n_max
+    # 128 windings either side of the middle of d, in the same order: the
+    # windings left out contribute exactly 0.0, so the truncated sum matches
+    # bit for bit.  The points with u^2/(2 var) = 730 get only a subnormal
+    # term, which a truncation that reaches too short would lose
     var = 2.0 * x
     edge = math.sqrt(2 * var * 730.0)
+    wide = np.linspace(-3 * math.pi, 3 * math.pi, 2001)
     for d in (
-        np.linspace(-3 * math.pi, 3 * math.pi, 2001),
+        wide,
+        wide + 400 * math.pi,  # 200 windings out
+        np.concatenate([wide, wide - 200 * math.pi]),  # spread over 100 windings
         np.array(edge),
         np.array([-edge - 6 * math.pi]),
     ):
+        middle = -round(float(d.max() + d.min()) / (4 * math.pi))
         full = np.zeros_like(d)
-        for n in range(-n_max, n_max + 1):
+        for n in range(middle - 128, middle + 129):
             u = d + 2 * math.pi * n
             full += np.exp(-(u**2) / (2 * var)) / math.sqrt(2 * math.pi * var)
-        assert np.array_equal(_wrapped_gaussian(d, x, n_max), full)
+        assert np.array_equal(_wrapped_gaussian(d, x), full)
 
 
 def test_chapman_kolmogorov(rng):
@@ -127,16 +159,23 @@ def test_cond_avg_fpe_matches_analytic(rng):
     for _ in range(20):
         t1, t2 = np.sort(rng.uniform(0.05, BC.t_total - 0.05, 2))
         s1, s2 = rng.choice([-1, 1], 2)
-        src = SourceSpec(points=((int(s1), float(t1)), (int(s2), float(t2))))
+        src = ((int(s1), float(t1)), (int(s2), float(t2)))
         a = cond_avg_phase(src, BC)
         b = cond_avg_fpe(src, BC, KP)
         assert abs(a - b) < 1e-10
+        # either route takes the sources in any order
+        assert cond_avg_phase(src[::-1], BC) == pytest.approx(a, abs=1e-14)
+        assert cond_avg_fpe(src[::-1], BC, KP) == b
 
 
-def test_cond_avg_fpe_truncated_series_raises():
-    src = SourceSpec(points=((1, 0.9), (-1, 2.1)))
+def test_cond_avg_fpe_truncated_series_raises(monkeypatch):
+    src = ((1, 0.9), (-1, 2.1))
+    cond_avg_fpe(src, BC, KP)
+    monkeypatch.setattr(fpe, "MAX_MODES", 1)
     with pytest.raises(SeriesError, match="not converged"):
-        cond_avg_fpe(src, BC, KernelParams.from_tau(BC.tau_m, n_max=1))
+        cond_avg_fpe(src, BC, KP)
+    with pytest.raises(SeriesError, match="not converged"):
+        transition_prob(0.3, 1.0, 0.7, 0.0, KP)  # the Fourier branch
 
 
 def test_cond_avg_fpe_raises_where_its_mode_sum_cancels():
@@ -153,10 +192,10 @@ def test_cond_avg_fpe_raises_where_its_mode_sum_cancels():
 
 
 def test_cond_avg_fpe_matches_quadrature():
-    src = SourceSpec(points=((1, 0.9), (-1, 2.1)))
+    src = ((1, 0.9), (-1, 2.1))
     series = cond_avg_fpe(src, BC, KP)
     quad = cond_avg_fpe_quadrature(src, BC, KP)
     assert abs(series - quad) < 1e-8
     # single source
-    src1 = SourceSpec(points=((1, 1.3),))
+    src1 = ((1, 1.3),)
     assert abs(cond_avg_fpe(src1, BC, KP) - cond_avg_fpe_quadrature(src1, BC, KP)) < 1e-8

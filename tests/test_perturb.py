@@ -132,6 +132,15 @@ def test_tree_params_validation():
     for gamma_z, gamma_phi in ((math.nan, 0.5), (0.5, math.nan), (0.0, 0.5), (0.5, -1.0)):
         with pytest.raises(DomainError):
             eig_decoherence(gamma_z, gamma_phi, 0.3)
+    # unchecked, a NaN time gave NaN covariances and means
+    for t1, t2 in ((math.nan, 0.5), (0.5, np.array([0.2, math.nan])), (-0.1, 0.5)):
+        with pytest.raises(DomainError, match=">= 0"):
+            cov_tree("zx", t1, t2, P)
+    for t in (math.nan, np.array([0.1, math.nan]), -0.1):
+        with pytest.raises(DomainError, match=">= 0"):
+            mean_tree("z", t, P)
+        with pytest.raises(DomainError, match=">= 0"):
+            var_tree("x", t, P)
 
 
 def test_full_correlator_matches_mc_at_low_efficiency():
