@@ -36,6 +36,12 @@ chunk are applied to the four unit columns to give its product, the products
 are chained at width m to give each chunk's start state, and then every
 chunk runs at once on c m lanes.  Any other batch is one chunk, the plain
 recursion.  A single record is a batch of one.
+
+A readout file holds a ``#`` line of parameters, the column names and a row
+``t,r_z,r_x`` per step.  A file laid out as ``write_readout_records`` writes
+it is parsed in one ``np.loadtxt`` call; any other text, a file with an error
+included, is read again by a line loop, which accepts and refuses the same
+texts and names the line of each error.
 """
 from __future__ import annotations
 
@@ -43,7 +49,7 @@ import math
 
 import numpy as np
 
-from .core import BlochState, ChannelConfig, QubitEnvironment, SimConfig, write_table
+from .core import BlochState, ChannelConfig, QubitEnvironment, SimConfig, column_rows, write_table
 from .sde import ReadoutRecord, Trajectory
 
 #: positivity slack before a reconstruction error is raised
@@ -291,11 +297,15 @@ def readout_header(cfg: SimConfig) -> dict:
             "depolarization_rate": env.depolarization_rate}
 
 
+#: the line of column names under a readout file's ``#`` header
+_COLUMNS = "t,r_z,r_x"
+
+
 def write_readout_records(path, record: ReadoutRecord, cfg: SimConfig) -> None:
     """Write a delimited text record with a parameter-carrying header."""
     params = " ".join(f"{k}={v!r}" for k, v in readout_header(cfg).items())
-    rows = zip(record.times.tolist(), record.r_z.tolist(), record.r_phi.tolist())
-    write_table(path, f"# {params}\nt,r_z,r_x", rows)
+    rows = column_rows(record.times, record.r_z, record.r_phi)
+    write_table(path, f"# {params}\n{_COLUMNS}", rows)
 
 
 def _finite(text: str, where: str) -> float:
@@ -308,9 +318,52 @@ def _finite(text: str, where: str) -> float:
     return value
 
 
-def read_readout_records(path) -> tuple[ReadoutRecord, dict]:
-    """Parse a readout file; malformed rows and non-finite values are hard
-    errors (ValueError) naming path and line."""
+def _params(line: str, where: str) -> dict:
+    """The ``key=value`` fields of a stripped ``#`` line, by name."""
+    fields = (tok.partition("=") for tok in line[1:].split())
+    return {key: _finite(val, where) for key, _, val in fields}
+
+
+def _record(times, r_z, r_x) -> ReadoutRecord:
+    return ReadoutRecord(times=np.array(times), r_z=np.array(r_z), r_phi=np.array(r_x))
+
+
+def _read_fast(path) -> tuple[ReadoutRecord, dict] | None:
+    """The record of a file laid out as ``write_readout_records`` writes it,
+    or None where only ``_read_lines`` can decide.
+
+    Line 1 must be the ``#`` header, line 2 the column names and line 3 not
+    blank.  The body goes to one ``np.loadtxt`` call, which must give 3
+    columns of finite values.  ``loadtxt`` reads a subset of the fields
+    ``float`` reads (not ``1_0``, nor non-ASCII digits), to the same values,
+    and refuses a whitespace-only line, a second ``#`` line and a repeated
+    column line; each of these, like any parse error, returns None.
+    """
+    with open(path) as fh:
+        try:
+            header = fh.readline().strip()
+            if not header.startswith("#") or fh.readline().strip() != _COLUMNS:
+                return None
+            params = _params(header, f"{path}:1")
+            body = fh.tell()
+            # an empty body, which loadtxt warns about, and a leading blank
+            # line are the loop's
+            if not fh.readline().strip():
+                return None
+            fh.seek(body)
+            data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if data.shape[1] != 3 or not np.isfinite(data).all():
+        return None
+    return _record(*data.T), params
+
+
+def _read_lines(path) -> tuple[ReadoutRecord, dict]:
+    """The record of a file, one line at a time: the reference parser and
+    the source of every ``path:line`` message.  Blank and column-name lines
+    are skipped anywhere, every ``#`` line adds its parameters, and a field
+    is whatever ``float`` reads."""
     params = {}
     times, r_z, r_x = [], [], []
     with open(path) as fh:
@@ -320,11 +373,9 @@ def read_readout_records(path) -> tuple[ReadoutRecord, dict]:
             if not line:
                 continue
             if line.startswith("#"):
-                for tok in line[1:].split():
-                    key, _, val = tok.partition("=")
-                    params[key] = _finite(val, where)
+                params.update(_params(line, where))
                 continue
-            if line == "t,r_z,r_x":
+            if line == _COLUMNS:
                 continue
             parts = line.split(",")
             if len(parts) != 3:
@@ -332,7 +383,17 @@ def read_readout_records(path) -> tuple[ReadoutRecord, dict]:
             times.append(_finite(parts[0], where))
             r_z.append(_finite(parts[1], where))
             r_x.append(_finite(parts[2], where))
-    record = ReadoutRecord(
-        times=np.array(times), r_z=np.array(r_z), r_phi=np.array(r_x)
-    )
-    return record, params
+    return _record(times, r_z, r_x), params
+
+
+def read_readout_records(path) -> tuple[ReadoutRecord, dict]:
+    """Parse a readout file into its record and header parameters; malformed
+    rows and non-finite values are hard errors (ValueError) naming path and
+    line.
+
+    A file as ``write_readout_records`` writes it is parsed in one
+    ``np.loadtxt`` call (``_read_fast``).  Anything else, every file with an
+    error included, is read again by the line loop ``_read_lines``, which
+    accepts and refuses the same texts and words every message.
+    """
+    return _read_fast(path) or _read_lines(path)

@@ -26,7 +26,9 @@ from .analytic import (
     subens_avg_state,
 )
 from .bayes import ReconstructionError, read_readout_records, readout_header, reconstruct
-from .core import DomainError, SimConfig, open_rewrite, polar_to_bloch, write_table
+from .core import (
+    DomainError, SimConfig, column_rows, open_rewrite, polar_to_bloch, write_table,
+)
 from .estimator import (
     SelectionCriterion,
     SelectionError,
@@ -319,6 +321,9 @@ def _mode_reconstruct(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]
             raise ConfigError(
                 f"readout file {path}: header {key}={header[key]!r}, sim config {key}={value!r}"
             )
+    if len(record.times) != sim.n_steps:
+        raise ConfigError(f"readout file {path}: {len(record.times)} rows, but sim runs"
+                          f" {sim.n_steps} steps (t_final / dt)")
     kdt = sim.dt * np.arange(len(record.times))
     off = np.flatnonzero(np.abs(record.times - kdt) > 1e-9 * np.maximum(1.0, kdt))
     if off.size:
@@ -326,8 +331,7 @@ def _mode_reconstruct(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]
                           f" is not step * dt = {kdt[off[0]]}")
     traj = reconstruct(record, sim.initial_state if theta is None else polar_to_bloch(theta), sim)
     path = out / "reconstructed_trajectory.csv"
-    rows = ((t, *q.tolist()) for t, q in zip(traj.times.tolist(), traj.states))
-    write_table(path, "t,x,y,z", rows)
+    write_table(path, "t,x,y,z", column_rows(traj.times, traj.states))
     return [path.name], True
 
 
@@ -358,7 +362,12 @@ def run(config_path, seed=None, output=None) -> int:
         mode = _require(cfg, "mode")
         effective_seed = _campaign_seed(cfg, seed)
         out = Path(output or cfg.get("output_dir", "."))
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            # an existing file at the path (FileExistsError) or on it
+            # (NotADirectoryError), or no permission
+            raise ConfigError(f"output directory {str(out)!r}: {exc.strerror}") from None
         if not isinstance(mode, str) or mode not in _MODES:
             raise ConfigError(f"unknown mode {mode!r}")
         outputs, gate_ok = _MODES[mode](cfg, out, effective_seed)

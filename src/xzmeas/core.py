@@ -10,6 +10,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
+from itertools import chain, islice
 
 import numpy as np
 
@@ -178,6 +179,11 @@ class SimConfig:
         return self.dt * np.arange(self.n_steps + 1)
 
 
+#: rows ``write_table`` formats in one operation: the floor of per-call cost
+#: at a few tens of kilobytes of text held
+WRITE_BATCH = 256
+
+
 @contextmanager
 def open_rewrite(path, mode: str = "w"):
     """Open ``path`` for writing from its start; on exit cut the file at the
@@ -194,11 +200,37 @@ def open_rewrite(path, mode: str = "w"):
         fh.truncate()
 
 
+def column_rows(*columns):
+    """The rows of arrays set side by side (1-D columns or 2-D blocks of
+    equal length) for ``write_table``: lists of Python scalars, converted
+    ``WRITE_BATCH`` rows at a time so a long table is never held as one."""
+    return chain.from_iterable(
+        np.column_stack([c[k:k + WRITE_BATCH] for c in columns]).tolist()
+        for k in range(0, len(columns[0]), WRITE_BATCH)
+    )
+
+
 def write_table(path, header: str, rows) -> None:
     """Write ``header`` and then each row of Python values as their ``str``
     joined by commas; for a float that is its ``repr``, the shortest text that
-    reads back to the same float.  ``rows`` may be a generator; it is
-    consumed once."""
+    reads back to the same float.
+
+    ``rows`` may be a generator; it is consumed once, ``WRITE_BATCH`` rows at
+    a time.  Each batch is written by one ``%`` operation whose format holds
+    a ``%s`` per value, which gives the bytes of ``",".join(map(str, row))``
+    per row without a join per row.  Rows are sequences of one width; a row
+    of another width raises ValueError, and the rows before its batch stay
+    written.
+    """
+    rows = iter(rows)
     with open_rewrite(path) as fh:
         fh.write(header + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        batch = list(islice(rows, WRITE_BATCH))
+        width = len(batch[0]) if batch else 0
+        line = ",".join(["%s"] * width) + "\n"
+        while batch:
+            if set(map(len, batch)) != {width}:
+                bad = next(row for row in batch if len(row) != width)
+                raise ValueError(f"row of {len(bad)} values in a table of width {width}: {bad!r}")
+            fh.write((line * len(batch)) % tuple(chain.from_iterable(batch)))
+            batch = list(islice(rows, WRITE_BATCH))

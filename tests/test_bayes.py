@@ -315,6 +315,101 @@ def test_readout_record_rejects_non_finite(tmp_path, field):
         read_readout_records(path)
 
 
+# texts for the two readout parsers: the one-call fast path and the line loop
+HEADER = "# dt=0.01 gamma_z=0.5\nt,r_z,r_x\n"
+ROWS = ["0.0,0.25,-1.5", "0.01,-0.0,5e-324", "0.02,1e-3,2.5"]
+
+
+def body(*rows):
+    return "".join(row + "\n" for row in rows)
+
+
+# name: (text, whether the fast path reads it itself)
+PARSE_CASES = {
+    "as written": (HEADER + body(*ROWS), True),
+    "blank lines": (HEADER + body(ROWS[0], "", "", *ROWS[1:], ""), True),
+    "crlf": ((HEADER + body(*ROWS)).replace("\n", "\r\n"), True),
+    "blank lines, crlf": ((HEADER + body(ROWS[0], "", *ROWS[1:])).replace("\n", "\r\n"), True),
+    "spaces and tabs around fields": (HEADER + body(" 0.0 ,\t0.25\t, -1.5 ", *ROWS[1:]), True),
+    "no final newline": ((HEADER + body(*ROWS))[:-1], True),
+    "one row": (HEADER + body(ROWS[0]), True),
+    "blank line first in body": (HEADER + body("", *ROWS), False),
+    "whitespace-only line": (HEADER + body(ROWS[0], " \t ", *ROWS[1:]), False),
+    "underscore digits": (HEADER + body("1_0,0.25,-1.5"), False),
+    "non-ASCII digit": (HEADER + body("\u0661,0.25,-1.5"), False),
+    "overflow": (HEADER + body(ROWS[0], "0.01,1e500,0.5"), False),
+    "nan": (HEADER + body(ROWS[0], "0.01,nan,0.5"), False),
+    "trailing comma": (HEADER + body(ROWS[0], "0.01,0.5,0.5,"), False),
+    "2-column row": (HEADER + body(ROWS[0], "0.01,0.5"), False),
+    "2 columns throughout": (HEADER + body("0.0,0.5", "0.01,0.5"), False),
+    "second # line": (HEADER + body(ROWS[0], "# eta_z=0.9", *ROWS[1:]), False),
+    "repeated column line": (HEADER + body(ROWS[0], "t,r_z,r_x", *ROWS[1:]), False),
+    "header not on line 1": ("\n" + HEADER + body(*ROWS), False),
+    "no header": ("t,r_z,r_x\n" + body(*ROWS), False),
+    "malformed header": ("# dt=a\nt,r_z,r_x\n" + body(*ROWS), False),
+    "header only": (HEADER, False),
+    "header only, no final newline": (HEADER[:-1], False),
+}
+
+
+def bits(record):
+    return [getattr(record, f).tobytes() for f in ("times", "r_z", "r_phi")]
+
+
+def read_both(path):
+    """(result or message) of the public reader and of the line loop."""
+    out = []
+    for read in (read_readout_records, bayes._read_lines):
+        try:
+            record, params = read(path)
+            out.append((bits(record), params))
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", PARSE_CASES)
+def test_readout_fast_path_reads_what_the_line_loop_reads(tmp_path, name):
+    # the line loop is the reference; the fast path either gives its arrays
+    # bit for bit or leaves the text to it, and no case warns
+    text, fast_reads = PARSE_CASES[name]
+    path = tmp_path / "readouts.txt"
+    path.write_bytes(text.encode())
+    fast = bayes._read_fast(path)
+    assert (fast is not None) == fast_reads
+    public, loop = read_both(path)
+    assert public == loop
+    if fast is not None:
+        assert (bits(fast[0]), fast[1]) == loop
+    if name == "as written":
+        columns = [0.0, 0.01, 0.02], [0.25, -0.0, 1e-3], [-1.5, 5e-324, 2.5]
+        assert loop == ([np.array(c).tobytes() for c in columns], {"dt": 0.01, "gamma_z": 0.5})
+
+
+def test_readout_fast_path_agrees_on_random_texts(tmp_path):
+    # fields and lines spliced from pieces either parser may take differently
+    pieces = ["1", "-0.0", "2.5e-3", "1_0", "\u0661", "1e500", "nan", "inf", "0x1", ".", "e",
+              " ", "\t", "\x0c", "\x85", "\x00", ",", "\n", "\r", "#", "t,r_z,r_x", ""]
+    rng = np.random.default_rng(11)
+    path = tmp_path / "readouts.txt"
+    taken = 0
+    for _ in range(300):
+        rows = []
+        for _ in range(rng.integers(0, 5)):
+            row = ",".join(rng.choice(["0.5", "-1", "3e-2"], 3))
+            k = rng.integers(len(row) + 1)
+            rows.append(row[:k] + rng.choice(pieces) + row[k:] if rng.random() < 0.4 else row)
+        newline = rng.choice(["\n", "\r\n"])
+        path.write_bytes((HEADER + body(*rows)).replace("\n", newline).encode())
+        fast = bayes._read_fast(path)
+        public, loop = read_both(path)
+        assert public == loop
+        if fast is not None:
+            assert (bits(fast[0]), fast[1]) == loop
+            taken += 1
+    assert 50 < taken < 300
+
 def test_replay_rejects_nan_readout():
     # a NaN norm must not pass the positivity check
     cfg = ideal_xz_config(t_final=0.1)

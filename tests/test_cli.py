@@ -514,6 +514,23 @@ def test_mode_reconstruct_rejects_record_of_another_axis(tmp_path, capsys):
     assert f"header phi_x={math.pi / 2!r}, sim config phi_x=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("record_t_final, sim_t_final, rows", [
+    (0.1, 0.5, 10), (0.5, 0.2, 50), (0.5, 0.5, 0),
+])
+def test_mode_reconstruct_checks_record_length(tmp_path, capsys, record_t_final, sim_t_final, rows):
+    # a 10-row record under a 50-step sim, and a header-only one, replayed
+    # and exited 0
+    rec_path = tmp_path / "readouts.txt"
+    cfg = reconstruct_config(tmp_path / "out", rec_path, record_t_final)
+    cfg["sim"]["t_final"] = sim_t_final
+    if rows == 0:
+        rec_path.write_text("\n".join(rec_path.read_text().splitlines()[:2]) + "\n")
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_CONFIG
+    steps = round(sim_t_final / 0.01)
+    assert f"readouts.txt: {rows} rows, but sim runs {steps} steps" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "reconstructed_trajectory.csv").exists()
+
+
 @pytest.mark.parametrize("change, message", [
     ({"selection": {"bogus": 1, "theta_in": 0.0, "t_total": 1.0}}, "invalid selection"),
     ({"selection": 5}, "invalid selection"),
@@ -582,6 +599,20 @@ def test_config_errors(tmp_path):
     no_input = write_config(tmp_path, reconstruct_config(out, rec_path), "ni.json")
     rec_path.unlink()
     assert cli.run(no_input) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("where", ["output_dir", "--output"])
+@pytest.mark.parametrize("target, reason", [("taken", "File exists"), ("taken/out", "Not a directory")])
+def test_unusable_output_directory_exits_config(tmp_path, capsys, where, target, reason):
+    # a file at the output path (FileExistsError) or on it (NotADirectoryError)
+    # escaped from mkdir as a traceback, exit 1
+    (tmp_path / "taken").write_text("a file\n")
+    out = tmp_path / target
+    cfgp = write_config(tmp_path, analytic_config(out if where == "output_dir" else None))
+    argv = ["--config", str(cfgp)] + (["--output", str(out)] if where == "--output" else [])
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert f"config error: output directory {str(out)!r}: {reason}" in capsys.readouterr().err
+    assert (tmp_path / "taken").read_text() == "a file\n"
 
 
 def test_main_entrypoint_and_env_threads(tmp_path):

@@ -10,9 +10,11 @@ from xzmeas.core import (
     DomainError,
     QubitEnvironment,
     SimConfig,
+    column_rows,
     measurement_time,
     open_rewrite,
     polar_to_bloch,
+    write_table,
 )
 
 
@@ -77,6 +79,56 @@ def test_open_rewrite_replaces_content_in_place(tmp_path):
     with open_rewrite(new, "wb") as fh:
         fh.write(b"\x00\x01")
     assert new.read_bytes() == b"\x00\x01"
+
+
+# values whose text is easy to get wrong: the sign of zero, the smallest
+# subnormal, the repr switch to exponent form at 1e16, an integer-valued float
+# past 2**53, non-finite floats and non-floats
+PIN_VALUES = [-0.0, 5e-324, 1e16, 1e22, math.nan, math.inf, -math.inf, 0.1, 7, -3,
+              True, False, "zx", "50%s", 2**70]
+
+
+def joined_table(header, rows):
+    """The text of a table written a row at a time: the reference for
+    ``write_table``."""
+    return header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 255, 256, 257, 1000])
+@pytest.mark.parametrize("as_generator", [False, True])
+def test_write_table_bytes_equal_rows_joined(tmp_path, n_rows, as_generator):
+    k = len(PIN_VALUES)
+    rows = [tuple(PIN_VALUES[(i + j) % k] for j in range(4)) for i in range(n_rows)]
+    path = tmp_path / "table.csv"
+    write_table(path, "a,b,c,d", (r for r in rows) if as_generator else rows)
+    assert path.read_text() == joined_table("a,b,c,d", rows)
+
+
+def test_write_table_rows_of_one_value_and_of_none(tmp_path):
+    path = tmp_path / "table.csv"
+    for rows in ([(v,) for v in PIN_VALUES] * 40, [()] * 300, [[1.5, "x"]] * 3):
+        write_table(path, "h", rows)
+        assert path.read_text() == joined_table("h", rows)
+
+
+@pytest.mark.parametrize("bad_at", [1, 255, 256, 700])
+def test_write_table_refuses_rows_of_unequal_width(tmp_path, bad_at):
+    rows = [(0.5, 1.5, 2.5)] * 1000
+    rows[bad_at] = (0.5, 1.5)
+    with pytest.raises(ValueError, match="row of 2 values in a table of width 3"):
+        write_table(tmp_path / "table.csv", "a,b,c", iter(rows))
+    # no misaligned row is written
+    lines = (tmp_path / "table.csv").read_text().splitlines()
+    assert all(line == "0.5,1.5,2.5" for line in lines[1:])
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 256, 257, 600])
+def test_column_rows_sets_arrays_side_by_side(n_rows):
+    t = 0.1 * np.arange(n_rows)
+    q = np.arange(3.0 * n_rows).reshape(n_rows, 3) / 7
+    rows = list(column_rows(t, q, -t))
+    assert rows == [[a, *b, -a] for a, b in zip(t.tolist(), q.tolist())]
+    assert all(type(v) is float for row in rows for v in row)
 
 
 def test_bloch_state_roundtrip():
