@@ -35,7 +35,10 @@ time: the n steps are cut into c = isqrt(n // m) chunks, the maps of each
 chunk are applied to the four unit columns to give its product, the products
 are chained at width m to give each chunk's start state, and then every
 chunk runs at once on c m lanes.  Any other batch is one chunk, the plain
-recursion.  A single record is a batch of one.
+recursion.  A single record is a batch of one.  While the calling thread
+scans block k of 16 steps, a stage normalises block k - 1 and computes block
+k + 1's coefficients: on a worker thread for a plain recursion, else after
+the scan, as a chunked scan's short rows would pass the GIL at each call.
 
 A readout file holds a ``#`` line of parameters, the column names and a row
 ``t,r_z,r_x`` per step.  A file laid out as ``write_readout_records`` writes
@@ -45,11 +48,13 @@ texts and names the line of each error.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
 
-from .core import BlochState, ChannelConfig, QubitEnvironment, SimConfig, column_rows, write_table
+from .core import (BlochState, ChannelConfig, DomainError, QubitEnvironment, SimConfig,
+                   column_rows, write_table)
 from .sde import ReadoutRecord, Trajectory
 
 #: positivity slack before a reconstruction error is raised
@@ -65,22 +70,23 @@ class ReconstructionError(RuntimeError):
     a NaN, or readouts that saturate the update."""
 
 
-def _coefficients(r, dt: float, channel: ChannelConfig) -> tuple:
-    """(tanh a, E sech a) for readouts r of a channel, with a = r dt / tau,
-    C-ordered.
+def _coefficients(coef: np.ndarray, records: list, cfg: SimConfig, k0: int, a: np.ndarray):
+    """Write the coefficients of steps k0..k0+b of readouts per channel into
+    ``coef`` (4, b, ...): channel c's E sech a at [c] and its tanh a at
+    [2 + c], with a = r dt / tau computed in scratch ``a`` (2, b, ...).
 
     E = exp[-(Gamma - 1/(2 tau)) dt] is the extra damping of the components
     transverse to the axis.  Population reweighting by
     exp[-(r -+ 1)^2 dt / 2 tau] along the axis reduces to these; the
     (4 pi tau / dt)^(-1/2) operator prefactor and the cosh a scale cancel.
-    Past |a| ~ 710 cosh overflows to inf and E sech a is 0.
+    Past |a| ~ 710 cosh overflows to inf (callers ignore it) and E sech a is 0.
     """
-    extra = math.exp(-(channel.gamma - 1.0 / (2 * channel.tau)) * dt)
-    a = np.multiply(r, dt / channel.tau, order="C")
-    th = np.tanh(a)
-    with np.errstate(over="ignore"):
-        np.cosh(a, out=a)
-    return th, np.divide(extra, a, out=a)
+    for c, (r, ch) in enumerate(zip(records, cfg.channels)):
+        np.multiply(r[k0:k0 + coef.shape[1]], cfg.dt / ch.tau, out=a[c])
+    np.tanh(a, out=coef[2:])
+    np.cosh(a, out=a)
+    for c, ch in enumerate(cfg.channels):
+        np.divide(math.exp(-(ch.gamma - 1.0 / (2 * ch.tau)) * cfg.dt), a[c], out=coef[c])
 
 
 def _frame(channel: ChannelConfig) -> np.ndarray:
@@ -90,57 +96,59 @@ def _frame(channel: ChannelConfig) -> np.ndarray:
     return np.array([[s, c], [c, -s]])
 
 
-def _scan(q, maps, rows: np.ndarray) -> np.ndarray:
+def _scan(q, coef: np.ndarray, turns: list, rows: np.ndarray) -> np.ndarray:
     """Apply steps to unnormalised states q = (w, m, t, y) and return the last.
 
-    A step applies each map of ``maps`` = [(tanh a, E sech a, turn), ...] in
-    turn, the first two indexed by step.  In the frame of its own axis a
-    channel's map is
+    A step applies each channel's map in turn, its tanh a and E sech a
+    read from ``coef`` (4, b, ...).  In the frame of its own axis it is
 
         w' = w + tanh(a) m,   m' = m + tanh(a) w,   (t, y)' = E sech(a) (t, y),
 
-    and the 2x2 ``turn`` then takes (m, t) to the frame of the next map.
-    ``rows[j]`` (4, *lanes) receives the state after step j.  Each map steps
-    row pairs: (w, m) in one multiply-add against the rows swapped, (t, y) in
-    one multiply, and the turn as the columns of ``turn`` times m and t.
+    and the channel's 2x2 turn then takes (m, t) to the frame of the next
+    map.  ``rows[j]`` (4, *lanes), which may be ``coef[:, j]``, receives the
+    state after step j.  Each map steps row pairs: (w, m) in one multiply-add
+    against the rows swapped, (t, y) in one multiply, and the turn as its
+    columns times m and t.
     """
-    # each turn as its two columns, shaped to broadcast against a (2, *lanes)
-    # pair
+    # each turn as its two columns, to broadcast against a (2, *lanes) pair
     shape = (2, 2, *(1,) * (q.ndim - 1))
-    maps = [(th, f, *turn.T.reshape(shape)) for th, f, turn in maps]
+    maps = [(coef[2 + c], coef[c], *turn.T.reshape(shape)) for c, turn in enumerate(turns)]
     scratch = np.empty_like(rows[0])
     last = len(maps) - 1
     for j, row in enumerate(rows):
         for k, (th, f, c0, c1) in enumerate(maps):
-            # the last map of a step writes straight into the step's row
+            # the last map writes straight into the step's row, reading tanh a
+            # (row 3) before (t, y) and E sech a (row 1) before (w, m) are set
             out = row if k == last else scratch
-            np.add(q[:2], th[j] * q[1::-1], out=out[:2])
+            wm = th[j] * q[1::-1]
             np.multiply(f[j], q[2:], out=out[2:])
+            np.add(q[:2], wm, out=out[:2])
             np.add(c0 * out[1], c1 * out[2], out=out[1:3])
             q = out
     return rows[-1]
 
 
-def _normalise(rows: np.ndarray, frame: np.ndarray, out: np.ndarray, steps):
+def _normalise(rows: np.ndarray, frame: np.ndarray, out: np.ndarray, steps, tmp: np.ndarray):
     """Write the Bloch vectors (x, y, z) of unnormalised states ``rows``
-    (b, 4, ...), held as (w, m, t, y) in ``frame``, into ``out`` (b, 3, ...).
-    ``rows`` keeps w and is left holding (m, t, y)/w.
+    (4, b, ...), held as (w, m, t, y) in ``frame``, into ``out`` (b, 3, ...);
+    ``rows`` and ``tmp`` (2, b, ...) are scratch, so nothing is allocated.
 
-    Returns None, or (step, reason) for the earliest of ``steps`` (broadcast
-    to (b, ...)) whose w is not in (0, inf) or whose |q|^2 - 1 exceeds
-    POSITIVITY_TOL or is NaN.
+    Returns None, or, writing nothing, (step, reason) for the earliest of
+    ``steps`` (broadcast to (b, ...)) whose w is not in (0, inf) or whose
+    |q|^2 - 1 exceeds POSITIVITY_TOL or is NaN.
     """
-    w, unit = rows[:, 0], rows[:, 1:]
-    unit /= rows[:, :1]
-    n2 = np.einsum("bi...,bi...->b...", unit, unit)
-    t00, t01, t10, t11 = frame.ravel()
-    np.add(t00 * unit[:, 0], t01 * unit[:, 1], out=out[:, 0])
-    out[:, 1] = unit[:, 2]
-    np.add(t10 * unit[:, 0], t11 * unit[:, 1], out=out[:, 2])
-    # negated tests so that a NaN fails
-    bad = ~((w > 0) & (w < np.inf) & (n2 <= 1.0 + POSITIVITY_TOL))
-    if not bad.any():
+    w, unit, n2 = rows[0], rows[1:], tmp[0]
+    unit /= w
+    np.einsum("i...,i...->...", unit, unit, out=n2)
+    # negated tests so that a NaN fails, first as reductions
+    if not w.size or w.min() > 0 and w.max() < np.inf and n2.max() <= 1.0 + POSITIVITY_TOL:
+        # (x, z) = T (m, t): T's columns times m, plus times t put where w, m were
+        cols = frame.T.reshape(2, 2, *(1,) * w.ndim)
+        np.multiply(cols[0], unit[0], out=tmp)
+        np.add(tmp, np.multiply(cols[1], unit[1], out=rows[:2]), out=out[:, ::2].swapaxes(0, 1))
+        out[:, 1] = unit[2]
         return None
+    bad = ~((w > 0) & (w < np.inf) & (n2 <= 1.0 + POSITIVITY_TOL))
     steps = np.broadcast_to(steps, bad.shape)
     at = np.unravel_index(np.argmin(np.where(bad, steps, np.iinfo(steps.dtype).max)), bad.shape)
     step = int(steps[at])
@@ -173,9 +181,7 @@ def _env_matrix(dt: float, env: QubitEnvironment) -> np.ndarray:
     return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
-def reconstruct(
-    readouts: ReadoutRecord, q_in: BlochState, cfg: SimConfig
-) -> Trajectory:
+def reconstruct(readouts: ReadoutRecord, q_in: BlochState, cfg: SimConfig) -> Trajectory:
     """Bloch trajectory implied by a readout record.
 
     Applies the z measurement, then the phi measurement, then the environment
@@ -183,12 +189,8 @@ def reconstruct(
     for fixed readouts, but readouts of physical size sqrt(tau/dt) make that
     an O(dt) zero-mean kick per step, which leaves an O(sqrt(dt)) pathwise gap.
     """
-    states = reconstruct_batch(
-        np.asarray(readouts.r_z)[:, None],
-        np.asarray(readouts.r_phi)[:, None],
-        q_in.as_array(),
-        cfg,
-    )
+    r_z, r_x = (np.asarray(r)[:, None] for r in (readouts.r_z, readouts.r_phi))
+    states = reconstruct_batch(r_z, r_x, q_in.as_array(), cfg)
     times = cfg.dt * np.arange(states.shape[0])
     return Trajectory(times=times, states=states[:, 0, :])
 
@@ -202,14 +204,6 @@ def _by_chunk(r: np.ndarray, chunks: int, span: int) -> np.ndarray:
     return r.reshape(chunks, span, r.shape[1]).transpose(1, 0, 2)
 
 
-def _block_maps(records: list, cfg: SimConfig, turns: list, k0: int, b: int) -> list:
-    """The maps of steps k0..k0+b for ``_scan``, from readouts per channel."""
-    return [
-        (*_coefficients(r[k0:k0 + b], cfg.dt, ch), turn)
-        for r, ch, turn in zip(records, cfg.channels, turns)
-    ]
-
-
 def _chunk_products(records: list, cfg: SimConfig, turns: list) -> np.ndarray:
     """Products of the step maps of every chunk but the last, from readouts
     (span, chunks, m) per channel.
@@ -221,24 +215,49 @@ def _chunk_products(records: list, cfg: SimConfig, turns: list) -> np.ndarray:
     records = [r[:, :-1, None] for r in records]
     span, c1, _, m = records[0].shape
     q = np.broadcast_to(np.eye(4)[:, None, :, None], (4, c1, 4, m))
+    coef, a = np.empty((4, _BLOCK, c1, 1, m)), np.empty((2, _BLOCK, c1, 1, m))
     rows = np.empty((_BLOCK, 4, c1, 4, m))
     for k0 in range(0, span, _BLOCK):
         b = min(_BLOCK, span - k0)
-        q = _scan(q, _block_maps(records, cfg, turns, k0, b), rows[:b])
+        _coefficients(coef[:, :b], records, cfg, k0, a[:, :b])
+        q = _scan(q, coef[:, :b], turns, rows[:b])
         q = q / np.abs(q).max(axis=(0, 2), keepdims=True)
     return q
 
 
-def reconstruct_batch(
-    r_z: np.ndarray, r_x: np.ndarray, q_in: np.ndarray, cfg: SimConfig
-) -> np.ndarray:
-    """Replay of a batch.  r_z, r_x: (n_steps, m) readouts of the z and phi
-    channels.  Returns states of shape (n_steps + 1, m, 3), a transposed view
-    of the (n_steps + 1, 3, m) block the kernel writes row by row.
+def _worker(chunks: int):
+    """The executor of a final pass's stages, or a null context for none."""
+    if chunks > 1:
+        return contextlib.nullcontext()
+    from concurrent.futures import ThreadPoolExecutor  # here, as it imports logging
+    # numpy's error state is per thread: the worker ignores what the caller does
+    return ThreadPoolExecutor(max_workers=1, initializer=np.seterr, initargs=("ignore",))
 
-    Raises ReconstructionError naming the first step whose state is not a
-    state (see ``_normalise``).
+
+def reconstruct_batch(r_z: np.ndarray, r_x: np.ndarray, q_in: np.ndarray,
+                      cfg: SimConfig) -> np.ndarray:
+    """Replay of a batch.  r_z, r_x: (n_steps, m) readouts of the z and phi
+    channels, q_in the initial Bloch vector.  Returns states of shape
+    (n_steps + 1, m, 3), a transposed view of the (n_steps + 1, 3, m) block
+    the kernel writes row by row.
+
+    Each block of the final pass sits in one of two (_BLOCK, 4, chunks, m)
+    buffers, first as its coefficients, then as its unnormalised states.  A
+    plain recursion runs the stages that normalise and fill them on a worker
+    thread (``_worker``) while this one scans; a chunked scan runs them here
+    after each scan.
+
+    Raises ValueError unless r_z and r_x are 2-D and of one shape,
+    DomainError unless q_in is 3 finite values with |q|^2 <= 1 +
+    POSITIVITY_TOL, and ReconstructionError naming the first step whose
+    state is not a state (see ``_normalise``).
     """
+    r_z, r_x = (np.asarray(r, dtype=float) for r in (r_z, r_x))
+    if r_z.ndim != 2 or r_z.shape != r_x.shape:
+        raise ValueError(f"readouts r_z {r_z.shape} and r_x {r_x.shape} are not both (n_steps, m)")
+    q_in = np.asarray(q_in, dtype=float)
+    if q_in.shape != (3,) or not q_in @ q_in <= 1.0 + POSITIVITY_TOL:  # negated for NaN
+        raise DomainError(f"initial state {q_in.tolist()} is not a Bloch vector")
     n, m = r_z.shape
     chunks = math.isqrt(n // max(m, 1))
     if chunks < 3:
@@ -249,34 +268,53 @@ def reconstruct_batch(
     # the environment map (its xz block) back to the first channel's frame
     env = _env_matrix(cfg.dt, cfg.environment)[::2, ::2]
     turns = [b @ a for a, b in zip(frames, [*frames[1:], frames[0] @ env])]
-    records = [_by_chunk(np.asarray(r, dtype=float), chunks, span) for r in (r_z, r_x)]
-    q_in = np.asarray(q_in, dtype=float)
+    records = [_by_chunk(r, chunks, span) for r in (r_z, r_x)]
     start = np.empty((4, chunks, m))
     start[:, 0] = _start(q_in[:, None], frames[0])
     states = np.empty((chunks * span + 1, 3, m))
     states[0] = q_in[:, None]
     # steps[k, :, i] holds the states after step k of chunk i
     steps = states[1:].reshape(chunks, span, 3, m).transpose(1, 2, 0, 3)
-    rows = np.empty((_BLOCK, 4, chunks, m))
     offsets = np.arange(_BLOCK)[:, None, None] + span * np.arange(chunks)[:, None]
+    edges = range(0, span, _BLOCK)
+    # each block as (4, b, chunks, m) coefficients in a step-major buffer, so
+    # that the scan writes each step's state contiguously
+    bufs = [np.empty((_BLOCK, 4, chunks, m)).swapaxes(0, 1) for _ in edges[:2]]
+    blocks = [(k0, bufs[i % 2][:, :min(_BLOCK, span - k0)]) for i, k0 in enumerate(edges)]
+    tmp = np.empty((2, _BLOCK, chunks, m))  # the stages' scratch
+
+    def stage(k):
+        """Normalise block k - 1, then fill its buffer with block k + 1."""
+        failed = None
+        if k > 0:
+            k0, rows = blocks[k - 1]
+            b = rows.shape[1]
+            failed = _normalise(rows, frames[0], steps[k0:k0 + b], k0 + offsets[:b], tmp[:, :b])
+        if k + 1 < len(blocks):
+            k0, coef = blocks[k + 1]
+            _coefficients(coef, records, cfg, k0, tmp[:, :coef.shape[1]])
+        return failed
+
     first = None
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with _worker(chunks) as worker, np.errstate(all="ignore"):
         if chunks > 1:
             prods = _chunk_products(records, cfg, turns)
             for i in range(chunks - 1):
                 v = (prods[:, i] * start[None, :, i]).sum(axis=1)
                 start[:, i + 1] = v / v[0]
         q = start
-        for k0 in range(0, span, _BLOCK):
-            b = min(_BLOCK, span - k0)
-            _scan(q, _block_maps(records, cfg, turns, k0, b), rows[:b])
-            failed = _normalise(rows[:b], frames[0], steps[k0:k0 + b], k0 + offsets[:b])
-            if failed and (first is None or failed[0] < first[0]):
-                first = failed
-            if first and first[0] < k0 + b:
-                # later blocks hold steps from k0 + b on only
+        for k in range(-1, len(blocks) + 1):
+            busy = worker and worker.submit(stage, k)
+            if 0 <= k < len(blocks):
+                coef = blocks[k][1]
+                last = _scan(q, coef, turns, coef.swapaxes(0, 1))
+                # the next block starts as _normalise will normalise this end
+                q = np.concatenate([np.ones((1, chunks, m)), last[1:] / last[:1]])
+            failed = busy.result() if busy else stage(k)
+            first = min([f for f in (first, failed) if f], default=None)
+            if first and first[0] < k * _BLOCK:
+                # later blocks hold steps from k * _BLOCK on only
                 break
-            q = np.concatenate([np.ones((1, chunks, m)), rows[b - 1, 1:]])
     if first:
         raise ReconstructionError(first[1])
     return states[:n + 1].transpose(0, 2, 1)

@@ -1,4 +1,10 @@
 import math
+import os
+import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +12,7 @@ import pytest
 from xzmeas.core import (
     BlochState,
     ChannelConfig,
+    DomainError,
     QubitEnvironment,
     SimConfig,
     polar_to_bloch,
@@ -497,3 +504,189 @@ def test_replay_of_empty_record_is_initial_state():
     q_in = cfg.initial_state.as_array()
     states = reconstruct_batch(np.zeros((0, 3)), np.zeros((0, 3)), q_in, cfg)
     assert np.array_equal(states, np.broadcast_to(q_in, (1, 3, 3)))
+
+
+def _stages_on(monkeypatch, worker: bool) -> None:
+    """Run every final pass's stages on one worker thread, or on the calling
+    thread, whatever the batch's shape."""
+    plain = bayes._worker
+    monkeypatch.setattr(bayes, "_worker", lambda chunks: plain(1 if worker else 2))
+
+
+@pytest.mark.parametrize("r_z, r_x", [
+    # an r_x one step short was padded with readout 0 and replayed
+    (np.zeros((100, 3)), np.zeros((99, 3))),
+    # unequal lane counts failed inside _scan with a broadcast error
+    (np.zeros((100, 3)), np.zeros((100, 2))),
+    # 1-D readouts failed with "not enough values to unpack"
+    (np.zeros(100), np.zeros(100)),
+    (np.zeros((100, 3, 1)), np.zeros((100, 3, 1))),
+])
+def test_replay_refuses_readouts_of_other_shapes(monkeypatch, r_z, r_x):
+    monkeypatch.setattr(bayes, "_coefficients", None)  # raised before any work
+    cfg = ideal_xz_config(t_final=1.0)
+    with pytest.raises(ValueError, match=re.escape(f"r_z {r_z.shape} and r_x {r_x.shape}")):
+        reconstruct_batch(r_z, r_x, cfg.initial_state.as_array(), cfg)
+
+
+@pytest.mark.parametrize("q_in", [
+    # was replayed and reported as "positivity violated by 1 at step 0"
+    (1.0, 1.0, 0.0),
+    (1.0 + 1e-9, 0.0, 0.0),
+    (math.nan, 0.0, 0.0),
+    (0.0, -math.inf, 0.0),
+    (0.6, 0.8),
+    ((0.6,), (0.0,), (0.8,)),
+])
+def test_replay_refuses_an_initial_state_that_is_not_one(monkeypatch, q_in):
+    monkeypatch.setattr(bayes, "_coefficients", None)  # raised before any work
+    cfg = ideal_xz_config(t_final=1.0)
+    r = np.zeros((cfg.n_steps, 2))
+    with pytest.raises(DomainError, match="initial state"):
+        reconstruct_batch(r, r, np.array(q_in), cfg)
+
+
+def test_replay_takes_a_pure_initial_state_within_tolerance():
+    cfg = ideal_xz_config(t_final=0.1)
+    r = np.zeros((cfg.n_steps, 2))
+    q_in = np.array([0.6, 0.0, 0.8]) * (1.0 + 1e-12)
+    assert 1.0 < q_in @ q_in <= 1.0 + bayes.POSITIVITY_TOL
+    assert np.array_equal(reconstruct_batch(r, r, q_in, cfg)[0], [q_in, q_in])
+
+
+def _stage_threads(monkeypatch) -> list:
+    """The thread of each ``_normalise`` call from here on."""
+    normalise, threads = bayes._normalise, []
+
+    def normalise_here(*args):
+        threads.append(threading.current_thread())
+        return normalise(*args)
+
+    monkeypatch.setattr(bayes, "_normalise", normalise_here)
+    return threads
+
+
+@pytest.mark.parametrize("n, m, worker", [
+    (4000, 1, False),  # a single record, scanned in 63 chunks
+    (1000, 100, False),  # 3 chunks
+    (100, 3, False),  # 5 chunks
+    (100, 12, True),  # the plain recursion, as at any width
+    (500, 300, True),
+    (500, 2000, True),
+])
+def test_only_a_plain_recursion_starts_a_thread(monkeypatch, n, m, worker):
+    threads = _stage_threads(monkeypatch)
+    cfg = ideal_xz_config(t_final=n * 0.01)
+    r = np.zeros((n, m))
+    reconstruct_batch(r, r, cfg.initial_state.as_array(), cfg)
+    assert threads
+    assert {t is threading.main_thread() for t in threads} == {not worker}
+    assert len(set(threads)) == 1
+
+
+def test_a_chunked_replay_imports_no_executor():
+    src = str(Path(bayes.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, numpy as np; from xzmeas import bayes; "
+            "from xzmeas.core import ChannelConfig, SimConfig; "
+            "cfg = SimConfig((ChannelConfig(0, 1, 1), ChannelConfig(1, 1, 1)), 0.01, 10.0); "
+            "r = np.zeros((1000, 1)); bayes.reconstruct_batch(r, r, np.zeros(3), cfg); "
+            "print('concurrent.futures' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("n", [0, 16, 37, 500])
+def test_worker_and_calling_thread_replay_the_same_bytes(monkeypatch, n):
+    # no block, exactly one, a short last block, and 32 blocks
+    cfg = SimConfig(
+        channels=(ChannelConfig(0.0, 0.5, 0.8), ChannelConfig(1.1, 0.4, 0.6)),
+        dt=0.004,
+        t_final=max(n, 1) * 0.004,
+        initial_state=polar_to_bloch(0.7),
+        environment=QubitEnvironment(rabi_detuning=0.3, depolarization_rate=0.05),
+    )
+    r_z, r_x = np.random.default_rng(n).normal(scale=5.0, size=(2, n, 64))
+    q_in = cfg.initial_state.as_array()
+    runs = []
+    for worker in (True, False):
+        with monkeypatch.context() as patch:
+            _stages_on(patch, worker)
+            threads = _stage_threads(patch)
+            runs.append(reconstruct_batch(r_z, r_x, q_in, cfg))
+        assert len(threads) == -(-n // bayes._BLOCK)
+        assert all((t is threading.main_thread()) is not worker for t in threads)
+    assert runs[0].shape == (n + 1, 64, 3)
+    assert np.array_equal(runs[0], runs[1])
+    assert np.array_equal(runs[0], reconstruct_batch(r_z, r_x, q_in, cfg))
+
+
+def _failing_readouts(kind: str, steps: dict, n: int, m: int):
+    """Zero readouts (n, m) of both channels, failing in lane j at step
+    steps[j]: a NaN, or saturated against the step before."""
+    r_z, r_x = np.zeros((n, m)), np.zeros((n, m))
+    for lane, step in steps.items():
+        if kind == "nan":
+            r_x[step, lane] = np.nan
+        else:
+            r_z[step - 1:step + 1, lane] = 1e6, -1e6
+    return r_z, r_x
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["nan", "saturated"])
+@pytest.mark.parametrize("step", [3, 50, 98])
+@pytest.mark.parametrize("worker", [True, False])
+def test_stages_name_the_earliest_failing_step(monkeypatch, kind, step, worker):
+    # 100 steps in 7 blocks, the last of 4 steps: a failure in the first, a
+    # middle and the last block, with later failures in other lanes
+    _stages_on(monkeypatch, worker)
+    cfg = ideal_xz_config(t_final=1.0)
+    steps = {7: step, 2: min(step + 1, 99), 11: min(step + 20, 99)}
+    r_z, r_x = _failing_readouts(kind, steps, 100, 12)
+    with pytest.raises(ReconstructionError, match=rf"at step {step}(:|$)"):
+        reconstruct_batch(r_z, r_x, cfg.initial_state.as_array(), cfg)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["nan", "saturated"])
+@pytest.mark.parametrize("worker", [True, False])
+@pytest.mark.parametrize("steps, named", [({0: 43, 2: 17}, 17), ({0: 43, 1: 57}, 43)])
+def test_a_later_block_failing_first_does_not_name_the_error(monkeypatch, kind, worker,
+                                                             steps, named):
+    # 3 lanes of 100 steps run as 5 chunks of 20 steps, so block 0 holds
+    # step 43 (chunk 2) and is normalised before block 1, which holds steps
+    # 17 (chunk 0) and 57 (chunk 2)
+    _stages_on(monkeypatch, worker)
+    cfg = ideal_xz_config(t_final=1.0)
+    r_z, r_x = _failing_readouts(kind, steps, 100, 3)
+    with pytest.raises(ReconstructionError, match=rf"at step {named}(:|$)"):
+        reconstruct_batch(r_z, r_x, cfg.initial_state.as_array(), cfg)
+
+
+class _StageFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("stage", ["_normalise", "_coefficients"])
+def test_stage_error_on_the_worker_reaches_the_caller(monkeypatch, stage):
+    # one started thread runs every stage; an error there is raised on the
+    # calling thread, after the join
+    real, threads = getattr(bayes, stage), []
+
+    def fail_second_call(*args):
+        threads.append(threading.current_thread())
+        if len(threads) == 2:
+            raise _StageFailed
+        return real(*args)
+
+    monkeypatch.setattr(bayes, stage, fail_second_call)
+    cfg = ideal_xz_config(t_final=1.0)
+    r = np.zeros((cfg.n_steps, 64))  # the plain recursion
+    before = threading.active_count()
+    with pytest.raises(_StageFailed):
+        reconstruct_batch(r, r, cfg.initial_state.as_array(), cfg)
+    assert threads[0] is threads[1] is not threading.main_thread()
+    assert not threads[0].is_alive()
+    assert threading.active_count() == before
