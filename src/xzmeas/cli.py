@@ -67,13 +67,23 @@ def _require(cfg: dict, key: str):
 
 
 def _count(cfg: dict, key: str = "count", *default) -> int:
-    """Field ``key``: a positive integer (an integral float such as 1e6
-    included), never a bool; ``default`` stands in for a missing field."""
+    """Field ``key``: a positive integer below 2**63 (an integral float such
+    as 1e6 included), never a bool; ``default`` stands in for a missing
+    field.  Larger counts overflowed numpy's C longs."""
     count = cfg.get(key, *default) if default else _require(cfg, key)
     if (isinstance(count, bool) or not isinstance(count, (int, float))
-            or not float(count).is_integer() or count < 1):
-        raise ConfigError(f"{key} must be a positive integer, got {count!r}")
+            or not 1 <= count < 2**63 or not float(count).is_integer()):
+        raise ConfigError(f"{key} must be a positive integer below 2**63, got {count!r}")
     return int(count)
+
+
+def _path(cfg: dict, key: str) -> str:
+    """Field ``key``: a file path, as a non-empty string.  An integer would
+    be opened as a file descriptor, and read and closed."""
+    path = _require(cfg, key)
+    if not isinstance(path, str) or not path:
+        raise ConfigError(f"{key} must be a non-empty path string, got {path!r}")
+    return path
 
 
 def _seed(value, name: str) -> int:
@@ -308,7 +318,7 @@ def _mode_simulate(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
 
 
 def _mode_reconstruct(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
-    path = _require(cfg, "input")
+    path = _path(cfg, "input")
     try:
         record, header = read_readout_records(path)
     except (ValueError, OSError) as exc:

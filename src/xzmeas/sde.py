@@ -30,11 +30,12 @@ standard-normal array from the Philox keyed (seed, s // 64) with its counter
 started at 2**192.  A block that an ensemble covers only in part is drawn at
 full width and trimmed, so member s is the same whatever the member count,
 offset, chunking or CPU count.  The blocks are drawn one time slice at a time
-by one worker thread, which draws the next slice while the caller steps this
-one.  A single trajectory (``simulate_trajectory``) draws its own stream,
-keyed (seed, stream_id) with the counter started at 0, so that it costs no
-64-wide block; no block counter comes within 2**192 of it, and a trajectory is
-not a member of any ensemble.
+by a worker thread and the calling thread, whichever is free: the worker
+starts on the next slice while the caller steps this one, and the caller then
+draws the blocks the worker has not reached.  A single trajectory
+(``simulate_trajectory``) draws its own stream, keyed (seed, stream_id) with
+the counter started at 0, so that it costs no 64-wide block; no block counter
+comes within 2**192 of it, and a trajectory is not a member of any ensemble.
 
 Storage: an ensemble is held as the kernel writes it, (time, coordinate,
 member) blocks whose rows are contiguous across members; its (member, ...)
@@ -45,6 +46,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,10 +106,9 @@ _OVERSHOOT_FACTOR = 30.0
 #: and drawn
 _BLOCK_IDS = 64
 
-#: steps of every block's draws held at a time; a chunk keeps two such slices,
-#: and the step kernel's scratch is one slice wide.  64-step slices were no
-#: faster, and raised the peak RSS of the benchmark's ensemble-and-replay
-#: workload by about 1.7 MB in most runs
+#: steps of every block's draws held at a time; a chunk keeps two such
+#: slices.  64-step slices were no faster, and raised the peak RSS of the
+#: benchmark's ensemble-and-replay workload by about 1.7 MB in most runs
 _SLICE = 32
 
 #: ensemble members per chunk, a multiple of _BLOCK_IDS; bounds the two noise
@@ -131,43 +132,49 @@ def _step_matrix(cfg: SimConfig) -> np.ndarray:
     return np.eye(3) + a * cfg.dt
 
 
-def _xz_entries(mat: np.ndarray) -> tuple:
-    """Entries 00, 02, 11, 20, 22 of a map that couples x and z only, as
-    Python floats."""
-    return tuple(float(mat[i]) for i in ((0, 0), (0, 2), (1, 1), (2, 0), (2, 2)))
-
-
-def _scaled(xi, scale, lanes) -> np.ndarray:
-    """scale (2, 1) times draws xi, as a C-ordered (steps, 2, m) array.
-
-    xi is (steps, 2, ...) with any strides; its trailing axes are read in C
-    order as one member axis, which is cut to the slice ``lanes``.
-    """
-    u = np.multiply(xi, scale.reshape(2, *(1,) * (xi.ndim - 2)), order="C")
-    return u.reshape(len(xi), 2, -1)[:, :, lanes]
-
-
-def _noise_terms(xi, axes, u_scale, lanes) -> tuple:
-    """x and z of sqrt(dt) w for draws xi (see ``_scaled``); its y is 0."""
-    u = _scaled(xi, u_scale, lanes)  # sqrt(dt) xi_c / sqrt(tau_c)
-    return axes[0, 0] * u[:, 0] + axes[1, 0] * u[:, 1], axes[0, 2] * u[:, 0] + axes[1, 2] * u[:, 1]
+def _noise_terms(xi, cols, u_scale, out) -> None:
+    """x and z of sqrt(dt) w into out[0] for draws xi (2, ...), row 0 of the
+    z channel and row 1 of the phi channel; its y is 0.  ``cols[c]`` is the
+    (x, z) of channel c's axis as (2, 1); out[1] and out[2] are scratch."""
+    w, u, t = out
+    np.multiply(xi, u_scale, out=u)  # sqrt(dt) xi_c / sqrt(tau_c)
+    np.multiply(cols[0], u[0], out=w)
+    np.multiply(cols[1], u[1], out=t)
+    w += t
 
 
 def _step(x, y, z, wx, wz, m00, m02, m11, m20, m22) -> tuple:
     """q' = (M - (w.q) I) q + sqrt(dt) w and its squared norm, on Python
-    floats or on rows of a batch alike."""
-    wq = wx * x + wz * z
-    x, y, z = (
-        (m00 - wq) * x + m02 * z + wx,
-        (m11 - wq) * y,
-        (m22 - wq) * z + m20 * x + wz,
-    )
-    return x, y, z, x * x + y * y + z * z
+    floats or on rows of a batch alike.  x', y' and z' are built up from M's
+    diagonal by augmented assignments, so rows passed as m00, m11 and m22,
+    holding those entries, are stepped in place."""
+    wq = wx * x
+    wq += wz * z
+    m00 -= wq
+    m00 *= x
+    m00 += m02 * z
+    m00 += wx
+    m11 -= wq
+    m11 *= y
+    m22 -= wq
+    m22 *= z
+    m22 += m20 * x
+    m22 += wz
+    n2 = m00 * m00
+    n2 += m11 * m11
+    n2 += m22 * m22
+    return m00, m11, m22, n2
 
 
-def _readouts(pre, xi, axes, r_scale, lanes):
-    """n_c . q at the start of each step, plus that step's own draws."""
-    return axes[:, 0:1] * pre[:, 0:1] + axes[:, 2:3] * pre[:, 2:3] + _scaled(xi, r_scale, lanes)
+def _readouts(x, z, xi, rows, r_scale, out, tmp) -> None:
+    """n_c . q at the start of a step, from its x and z, plus that step's own
+    draws xi (as in ``_noise_terms``), into out[c]; ``rows`` are the axes' x
+    and z as (2, 1) each, ``tmp`` scratch of out's shape."""
+    np.multiply(rows[0], x, out=out)
+    np.multiply(rows[1], z, out=tmp)
+    out += tmp
+    np.multiply(xi, r_scale, out=tmp)
+    out += tmp
 
 
 def _blowup(n2, window: float, step: int) -> IntegratorError:
@@ -189,71 +196,71 @@ def _propagate(q, xi, cfg: SimConfig, states, readouts=None, first: int = 0,
     (n_steps + 1, 3, m) and ``readouts`` (n_steps, 2, m) may be strided views
     into the caller's arrays.  Norms in (1, 1 + window] are projected back onto
     the sphere; a larger one raises IntegratorError naming the step, counted
-    from ``first``, the absolute index of xi's first step.  The noise terms
-    and readouts of all of xi are computed in one pass each, so the scratch is
-    a few arrays of xi's size; ``run_ensemble`` hands over one slice at a time.
+    from ``first``, the absolute index of xi's first step.
 
-    A batch of one steps on Python floats, a wider one on rows of length m.
-    Both run ``_step``, whose operations are elementwise and correctly rounded
-    (IEEE add, multiply, divide and square root round the same way in Python
-    and in numpy's loops), so each member rounds the same way at any batch
-    width; BLAS kernels do not promise that.
+    A batch of one steps on Python floats, a wider one on rows of length m,
+    in place: each step's draws are copied out of xi, and its noise terms,
+    readouts and states are written into preallocated rows.  Both run
+    ``_step``, whose operations are elementwise and correctly rounded (IEEE
+    add, multiply, divide and square root round the same way in Python and in
+    numpy's loops), so each member rounds the same way at any batch width;
+    BLAS kernels do not promise that.
     """
     dt = cfg.dt
-    axes = np.array([ch.axis for ch in cfg.channels])
+    axes = np.array([ch.axis for ch in cfg.channels])[:, ::2]  # (x, z) of each axis
+    cols, rows = axes[:, :, None], (axes[:, 0:1], axes[:, 1:2])
     tau = np.array([[ch.tau] for ch in cfg.channels])
     u_scale, r_scale = np.sqrt(dt / tau), np.sqrt(tau / dt)
-    coef = _xz_entries(_step_matrix(cfg))
+    coef = _step_matrix(cfg)[(0, 0, 1, 2, 2), (0, 2, 1, 0, 2)].tolist()  # m00, m02, m11, m20, m22
     window = max(NORM_TOL, _OVERSHOOT_FACTOR * dt * float(np.max(1.0 / tau)))
     limit = (1.0 + window) ** 2
     states[0] = q
-    wx, wz = _noise_terms(xi, axes, u_scale, lanes)
     if q.shape[1] == 1:
-        _propagate_one(q[:, 0].tolist(), (wx, wz), coef, limit, window, states[:, :, 0], first)
-    else:
-        coef = tuple(np.array(c) for c in coef)  # 0-d arrays: cheaper than floats against rows
-        x, y, z = q
-        for j in range(len(xi)):
-            x, y, z, n2 = _step(x, y, z, wx[j], wz[j], *coef)
-            worst = n2.max()
+        # noise terms and readouts of all steps at once.  Memoryviews hand the
+        # noise terms out and take the path in one float at a time: lists of
+        # all of them raised peak RSS by 0.25-0.4 MB at 4000 steps
+        d = xi.reshape(len(xi), 2, -1)[:, :, lanes][:, :, 0].T  # (2, n_steps)
+        w = np.empty((3, *d.shape))
+        _noise_terms(d, cols, u_scale, w)
+        (x, y, z), (m00, m02, m11, m20, m22) = q[:, 0].tolist(), coef
+        path = np.empty((3, len(xi)))
+        out_x, out_y, out_z = map(memoryview, path)
+        for j, wx, wz in zip(range(len(xi)), memoryview(w[0, 0]), memoryview(w[0, 1])):
+            x, y, z, n2 = _step(x, y, z, wx, wz, m00, m02, m11, m20, m22)
             # negated tests so that a NaN norm raises
-            if not worst <= 1.0:
-                if not worst <= limit:
-                    raise _blowup(worst, window, first + j)
-                norm = np.where(n2 > 1.0, np.sqrt(n2), 1.0)
+            if not n2 <= 1.0:
+                if not n2 <= limit:
+                    raise _blowup(n2, window, first + j)
+                norm = math.sqrt(n2)
                 x, y, z = x / norm, y / norm, z / norm
-            out = states[j + 1]
-            out[0], out[1], out[2] = x, y, z
-    if readouts is not None:
-        readouts[:] = _readouts(states[:-1], xi, axes, r_scale, lanes)
-
-
-def _propagate_one(q, w, coef, limit: float, window: float, states, first: int) -> None:
-    """``_propagate`` for one member on Python floats: q is [x, y, z], w the
-    pair of (n_steps, 1) noise terms from ``_noise_terms``, ``states`` the
-    (n_steps + 1, 3) path, ``first`` the absolute index of its first step.
-
-    Memoryviews hand the noise terms out and take the path in one float at a
-    time: lists of all of them raised peak RSS by 0.25-0.4 MB at 4000 steps.
-    """
-    x, y, z = q
-    m00, m02, m11, m20, m22 = coef
-    path = np.empty((len(states) - 1, 3))
-    out = memoryview(path.reshape(-1))
-    i = 0
-    for wx, wz in zip(memoryview(w[0].ravel()), memoryview(w[1].ravel())):
-        x, y, z, n2 = _step(x, y, z, wx, wz, m00, m02, m11, m20, m22)
-        # negated tests so that a NaN norm raises
-        if not n2 <= 1.0:
-            if not n2 <= limit:
-                raise _blowup(n2, window, first + i // 3)
-            norm = math.sqrt(n2)
-            x, y, z = x / norm, y / norm, z / norm
-        out[i] = x
-        out[i + 1] = y
-        out[i + 2] = z
-        i += 3
-    states[1:] = path
+            out_x[j] = x
+            out_y[j] = y
+            out_z[j] = z
+        states[1:, :, 0] = path.T
+        if readouts is not None:
+            _readouts(states[:-1, 0, 0], states[:-1, 2, 0], d, rows, r_scale,
+                      readouts[:, :, 0].T, w[1])
+        return
+    draws = np.empty(xi.shape[1:])
+    d = draws.reshape(2, -1)[:, lanes]  # one step's draws, contiguous and cut
+    w = np.empty((3, *d.shape))
+    wx, wz = w[0]
+    diag = np.array(coef[0::2])[:, None]
+    m02, m20 = np.array(coef[1]), np.array(coef[3])  # 0-d arrays: cheaper than floats against rows
+    x, y, z = states[0]
+    for j in range(len(xi)):
+        np.copyto(draws, xi[j])
+        _noise_terms(d, cols, u_scale, w)
+        if readouts is not None:
+            _readouts(x, z, d, rows, r_scale, readouts[j], w[2])
+        post = states[j + 1]
+        post[...] = diag  # _step builds the new state up from M's diagonal, in place
+        x, y, z, n2 = _step(x, y, z, wx, wz, post[0], m02, post[1], m20, post[2])
+        worst = n2.max()
+        if not worst <= 1.0:
+            if not worst <= limit:
+                raise _blowup(worst, window, first + j)
+            post /= np.where(n2 > 1.0, np.sqrt(n2), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +335,12 @@ def run_ensemble(cfg: SimConfig, count: int, keep_readouts: bool = True,
 
     Chunks of up to ``_CHUNK`` members, cut at multiples of ``_CHUNK``, run one
     after another, and each steps through its noise one ``_SLICE`` of time at a
-    time.  One worker thread, started for the whole call, draws the next slice
-    while the calling thread steps this one; the draws do not depend on which
-    thread makes them.  An error in a draw is raised on the calling thread.  An
-    IntegratorError names the step and the chunk's stream range.
+    time.  One worker thread, started for the whole call, starts drawing the
+    next slice while the calling thread steps this one; the calling thread then
+    draws the blocks the worker has not reached.  The draws do not depend on
+    which thread makes them.  An error in a draw on either thread is raised on
+    the calling thread once the worker has ended.  An IntegratorError names the
+    step and the chunk's stream range.
     """
     from concurrent.futures import ThreadPoolExecutor  # here, as it imports logging
     if count < 1:
@@ -374,29 +383,44 @@ def _run_chunk(cfg: SimConfig, gens: list, lanes: slice, worker, states, readout
     columns, ``states``/``readouts`` its (time, coordinate, member) views.
 
     Draws sit in (block, step, channel, column) slices, so each block fills a
-    contiguous part; the kernel reads them transposed.  The executor
-    ``worker`` draws slice k + 1 into one of two buffers while this thread
-    steps slice k from the other.  Slice k + 1 is submitted only after slice
-    k - 1, whose buffer it takes, was stepped, and is waited for before it is
-    stepped itself.
+    contiguous part; the kernel reads them transposed.  Slice k's blocks go
+    out one at a time from one shared iterator.  The executor ``worker``
+    starts taking them when slice k is submitted, while this thread steps
+    slice k - 1; this thread then takes the blocks still left, waits for the
+    worker's last one, submits slice k + 1 into slice k - 1's buffer and steps
+    slice k.  Each block is drawn once, by one thread, from its own generator.
     """
     n = len(states) - 1
     cuts = [(k0, min(k0 + _SLICE, n)) for k0 in range(0, n, _SLICE)]
     bufs = [np.empty((len(gens), min(_SLICE, n), 2, _BLOCK_IDS)) for _ in range(2)]
+    lock = threading.Lock()
 
     def noise(k):
         """Slice k's buffer, a (block, step, channel, column) view."""
         k0, k1 = cuts[k]
         return bufs[k % 2][:, :k1 - k0]
 
-    def draw(k):
-        """Slice k's draws, submitted to the worker; None past the last slice."""
-        return worker.submit(_draw, gens, noise(k)) if k < len(cuts) else None
+    def draw(blocks):
+        """Draw the blocks taken from the shared iterator ``blocks``."""
+        while True:
+            with lock:
+                block = next(blocks, None)
+            if block is None:
+                return
+            _draw(*block)
 
-    drawn = draw(0)
+    def submit(k):
+        """Slice k's shared iterator, and the worker's draws from it."""
+        blocks = zip(([gen] for gen in gens), noise(k)[:, None])
+        return blocks, worker.submit(draw, blocks)
+
+    pending = submit(0)
     for k, (k0, k1) in enumerate(cuts):
+        blocks, drawn = pending
+        draw(blocks)
         drawn.result()
-        drawn = draw(k + 1)
+        if k + 1 < len(cuts):
+            pending = submit(k + 1)
         _propagate(states[k0], noise(k).transpose(1, 2, 0, 3), cfg, states[k0:k1 + 1],
                    None if readouts is None else readouts[k0:k1], k0, lanes)
 

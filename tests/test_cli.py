@@ -268,11 +268,13 @@ def test_simulate_needs_a_channel_pair(tmp_path, capsys, channels):
     assert f"channels must be a (z, phi) pair, got {channels}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("count", [0, -5, 2.5, True])
+@pytest.mark.parametrize("count", [0, -5, 2.5, True, 1e300, 2**63])
 @pytest.mark.parametrize("mode", ["compare", "simulate"])
 def test_count_must_be_positive_integer(tmp_path, capsys, mode, count):
     # unchecked, 0 and -5 escaped as a ValueError traceback (or read as an
-    # empty post-selection), 2.5 ran as 2 and true as 1
+    # empty post-selection), 2.5 ran as 2 and true as 1; 1e300 escaped as an
+    # OverflowError, from the binomial draw in compare and from run_ensemble's
+    # stream-id check in simulate
     make = compare_config if mode == "compare" else simulate_config
     cfg = dict(make(tmp_path / "out"), count=count)
     assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_CONFIG
@@ -442,6 +444,18 @@ def test_mode_reconstruct(tmp_path):
     lines = (out / "reconstructed_trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,x,y,z"
     assert len(lines) == 50 + 2
+
+
+@pytest.mark.parametrize("value", [1, 0, None, "", []])
+def test_reconstruct_input_must_be_a_path(tmp_path, capsys, value):
+    # unchecked, 1 and 0 opened that file descriptor, read it and closed it,
+    # so an in-process caller lost its stdout or stdin; null escaped as a
+    # TypeError traceback
+    cfg = dict(reconstruct_config(tmp_path / "out", tmp_path / "readouts.txt"), input=value)
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_CONFIG
+    assert "input must be a non-empty path string" in capsys.readouterr().err
+    for fd in (0, 1, 2):
+        os.fstat(fd)
 
 
 @pytest.mark.parametrize(

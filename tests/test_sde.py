@@ -1,9 +1,11 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import math
 import os
 import sys
 import threading
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -250,12 +252,121 @@ class _DrawFailed(Exception):
     pass
 
 
+def _drawer() -> str:
+    """Which thread draws: the calling thread or the noise worker."""
+    return "caller" if threading.current_thread() is threading.main_thread() else "worker"
+
+
+class _SplitDraws(ThreadPoolExecutor):
+    """The noise worker's executor, made to split each slice's blocks with the
+    calling thread in one way.  ``worker``: submit waits until the worker has
+    drawn them all.  ``caller``: the worker starts only when the caller waits
+    for it, once it has drawn them all itself.  ``alternate``: the two take
+    turns, the worker first, each waiting after a block until the other has
+    taken one or has none left; this needs ``turns`` as ``sde._draw``."""
+
+    def __init__(self, split, max_workers):
+        super().__init__(max_workers)
+        self.split = split
+        self.cond = threading.Condition()
+        self.entered = {"caller": 0, "worker": 0}
+        self.done = {"caller": False, "worker": False}
+
+    def submit(self, fn, *args):
+        if self.split == "caller":
+            return types.SimpleNamespace(
+                result=lambda: ThreadPoolExecutor.submit(self, fn, *args).result())
+        if self.split == "worker":
+            drawn = super().submit(fn, *args)
+            concurrent.futures.wait([drawn])
+            return drawn
+        with self.cond:
+            self.done.update(caller=False, worker=False)
+            first = self.entered["worker"]
+
+        def task(*args):
+            try:
+                fn(*args)
+            finally:
+                self.left("worker")
+
+        drawn = super().submit(task, *args)
+        with self.cond:
+            assert self.cond.wait_for(
+                lambda: self.entered["worker"] > first or self.done["worker"], 10)
+        return types.SimpleNamespace(result=lambda: (self.left("caller"), drawn.result()))
+
+    def left(self, who):
+        with self.cond:
+            self.done[who] = True
+            self.cond.notify_all()
+
+    def turns(self, draw):
+        """``draw`` taking turns: between two blocks of one thread, the other
+        takes one."""
+        def take_turns(gens, out):
+            me = _drawer()
+            other = "worker" if me == "caller" else "caller"
+            with self.cond:
+                self.entered[me] += 1
+                mark = self.entered[other]
+                self.cond.notify_all()
+            draw(gens, out)
+            with self.cond:
+                assert self.cond.wait_for(
+                    lambda: self.entered[other] > mark or self.done[other], 10)
+        return take_turns
+
+
+def _force_split(monkeypatch, split):
+    """Patch run_ensemble's executor to ``_SplitDraws(split)``; returns a list
+    that collects (thread, block index within the chunk) per block drawn."""
+    draws, executors = [], []
+
+    def executor(max_workers):
+        executors.append(_SplitDraws(split, max_workers))
+        return executors[-1]
+
+    draw = sde._draw
+
+    def note(gens, out):
+        block = (out.ctypes.data - out.base.ctypes.data) // out.base.strides[0]
+        draws.append((_drawer(), block))
+        (executors[-1].turns(draw) if split == "alternate" else draw)(gens, out)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", executor)
+    monkeypatch.setattr(sde, "_draw", note)
+    return draws
+
+
+@pytest.mark.parametrize("chunk", [5120, 128])
+@pytest.mark.parametrize("split", ["worker", "caller", "alternate"])
+def test_ensemble_same_whichever_thread_draws_each_block(monkeypatch, split, chunk):
+    # members 10..209 fill blocks 0..3 only in part, in one chunk or in two
+    # (10..127 and 128..209); 35 steps are a full slice and a 3-step one
+    cfg = general_config(t_final=0.07, seed=12)
+    assert cfg.n_steps % sde._SLICE == 3
+    ref = _run_with(monkeypatch, cfg, 200, chunk=chunk, stream_offset=10)
+    draws = _force_split(monkeypatch, split)
+    ens = _run_with(monkeypatch, cfg, 200, chunk=chunk, stream_offset=10)
+    assert np.array_equal(ens.states, ref.states)
+    assert np.array_equal(ens.r_z, ref.r_z)
+    assert np.array_equal(ens.r_phi, ref.r_phi)
+    assert len(draws) == 4 * 2  # four blocks, two slices
+    if split == "alternate":
+        assert all(who == ("worker", "caller")[block % 2] for who, block in draws)
+    else:
+        assert {who for who, _ in draws} == {split}
+
+
 def test_noise_error_on_a_started_thread_reaches_the_caller(monkeypatch):
-    # one started thread draws every noise slice; an error there is raised on
-    # the calling thread, after the join
+    # an error in a draw on the worker is raised on the calling thread, after
+    # the join; the worker is made to draw every block
     cfg = ideal_xz_config(t_final=1.0)
     assert cfg.n_steps > sde._SLICE
+    _force_split(monkeypatch, "worker")
     draw, threads = sde._draw, []
+    before = threading.active_count()
 
     def fail_second_slice(gens, out):
         threads.append(threading.current_thread())
@@ -268,25 +379,53 @@ def test_noise_error_on_a_started_thread_reaches_the_caller(monkeypatch):
         _run_with(monkeypatch, cfg, 10, chunk=5120)
     assert threads[0] is threads[1] is not threading.main_thread()
     assert not threads[0].is_alive()
+    assert threading.active_count() == before
+
+
+def test_noise_error_on_the_calling_thread_waits_for_the_worker(monkeypatch):
+    # the caller's draw fails while the worker still holds a block of the
+    # same slice; the error leaves run_ensemble only after the join
+    cfg = ideal_xz_config(t_final=1.0)
+    draw, threads, failed = sde._draw, [], threading.Event()
+    before = threading.active_count()
+
+    def fail_on_the_caller(gens, out):
+        threads.append(threading.current_thread())
+        if _drawer() == "caller":
+            failed.set()
+            raise _DrawFailed
+        assert failed.wait(10)
+        draw(gens, out)
+
+    monkeypatch.setattr(sde, "_draw", fail_on_the_caller)
+    with pytest.raises(_DrawFailed):
+        _run_with(monkeypatch, cfg, 130, chunk=5120)
+    workers = {t for t in threads if t is not threading.main_thread()}
+    assert threading.main_thread() in threads
+    assert len(workers) == 1 and not workers.pop().is_alive()
+    assert threading.active_count() == before
 
 
 def test_integrator_error_stops_the_noise_thread(monkeypatch):
-    # a blow-up in the first slice, while the worker has the next ones to draw
+    # a blow-up in the first slice, while the worker has the next ones to
+    # draw; the draws end at the next slice, and no thread outlives the call
     cfg = ideal_xz_config(t_final=2.0)
-    draw = sde._draw
-    workers = []
+    draw, threads = sde._draw, []
+    before = threading.active_count()
 
     def blow_up_at_step_7(gens, out):
-        workers.append(threading.current_thread())
+        threads.append(threading.current_thread())
         draw(gens, out)
-        if len(workers) == 1:
+        if len(threads) == 1:
             out[:, 7, 1] = 1e3
 
     monkeypatch.setattr(sde, "_draw", blow_up_at_step_7)
     with pytest.raises(IntegratorError, match=r"step 7 \(streams 0\.\.9\)"):
         _run_with(monkeypatch, cfg, 10, chunk=5120)
     # run_ensemble has joined the worker before the error leaves it
-    assert not workers[0].is_alive() and len(workers) <= 2
+    assert len(threads) <= 2
+    assert not any(t.is_alive() for t in threads if t is not threading.main_thread())
+    assert threading.active_count() == before
 
 
 def test_stream_ids_past_2_pow_64_rejected_before_drawing(monkeypatch):
@@ -310,20 +449,25 @@ def _run_with(monkeypatch, cfg, count, chunk, **kw):
 
 
 def test_ensemble_deterministic_across_workers_and_chunks(monkeypatch):
-    # each call draws on a worker of its own, which has ended when it returns
+    # each call shares its draws with a worker of its own, which has ended
+    # when it returns; the bytes do not depend on the chunk width
     cfg = ideal_xz_config(t_final=0.2, seed=9)
     draw, workers = sde._draw, set()
 
     def draw_and_note(gens, out):
-        workers.add(threading.current_thread())
+        if _drawer() == "worker":
+            workers.add(threading.current_thread())
         draw(gens, out)
 
     monkeypatch.setattr(sde, "_draw", draw_and_note)
     e1 = _run_with(monkeypatch, cfg, 64, chunk=16)
+    first = set(workers)
     e2 = _run_with(monkeypatch, cfg, 64, chunk=64)
     assert np.array_equal(e1.states, e2.states)
     assert np.array_equal(e1.r_z, e2.r_z)
-    assert len(workers) == 2 and not any(w.is_alive() for w in workers)
+    assert np.array_equal(e1.r_phi, e2.r_phi)
+    assert len(first) <= 1 and len(workers - first) <= 1
+    assert not any(w.is_alive() for w in workers)
 
 
 def test_ensemble_members_match_single_trajectories():
@@ -432,9 +576,10 @@ def test_ensemble_bit_identical_across_chunk_widths(monkeypatch):
     # exercise the norm projection, the general ones every coefficient.  Chunks
     # wider than the ensemble, a last chunk of one member (65 in chunks of 32)
     # and a two-member ensemble equal the leading members of the reference.
-    # The worker draws each slice while the caller steps the one before,
-    # switching threads often, so a slice stepped before it is drawn, or a
-    # buffer drawn into before its slice is stepped, shows as a mismatch
+    # The worker starts on each slice's draws while the caller steps the one
+    # before, and the caller draws what is left, switching threads often, so
+    # a block stepped before it is drawn, or a buffer drawn into before its
+    # slice is stepped, shows as a mismatch
     interval = sys.getswitchinterval()
     for cfg in (ideal_xz_config(t_final=0.23, seed=4), general_config(t_final=0.046, seed=4)):
         ref = _run_with(monkeypatch, cfg, 67, chunk=67)
