@@ -36,9 +36,10 @@ chunk are applied to the four unit columns to give its product, the products
 are chained at width m to give each chunk's start state, and then every
 chunk runs at once on c m lanes.  Any other batch is one chunk, the plain
 recursion.  A single record is a batch of one.  While the calling thread
-scans block k of 16 steps, a stage normalises block k - 1 and computes block
-k + 1's coefficients: on a worker thread for a plain recursion, else after
-the scan, as a chunked scan's short rows would pass the GIL at each call.
+scans span k, renormalising every 16 steps, a stage normalises span k - 1
+and computes span k + 1's coefficients: over 32 steps on a worker thread for
+a plain recursion, else over 16 after the scan, as a chunked scan's short
+rows would pass the GIL at each call.
 
 A readout file holds a ``#`` line of parameters, the column names and a row
 ``t,r_z,r_x`` per step.  A file laid out as ``write_readout_records`` writes
@@ -49,20 +50,25 @@ texts and names the line of each error.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 
 import numpy as np
 
 from .core import (BlochState, ChannelConfig, DomainError, QubitEnvironment, SimConfig,
                    column_rows, write_table)
-from .sde import ReadoutRecord, Trajectory
+from .sde import ReadoutRecord, Trajectory, _look_ahead
 
 #: positivity slack before a reconstruction error is raised
 POSITIVITY_TOL = 1e-10
 
-#: replay steps whose maps are built, applied and normalised in one vectorized
-#: pass; bounds that scratch to _BLOCK x lanes
+#: replay steps scanned from one rescaled start, and a chunked scan's span:
+#: the steps whose maps are built and normalised in one vectorized pass
 _BLOCK = 16
+
+#: a plain recursion's span, two blocks, which halves its worker's calls;
+#: bounds the stages' buffers and scratch to 10 x _SPAN x lanes
+_SPAN = 2 * _BLOCK
 
 
 class ReconstructionError(RuntimeError):
@@ -195,30 +201,30 @@ def reconstruct(readouts: ReadoutRecord, q_in: BlochState, cfg: SimConfig) -> Tr
     return Trajectory(times=times, states=states[:, 0, :])
 
 
-def _by_chunk(r: np.ndarray, chunks: int, span: int) -> np.ndarray:
-    """Readouts (n, m) as (span, chunks, m), step k of chunk i at [k, i];
+def _by_chunk(r: np.ndarray, chunks: int, length: int) -> np.ndarray:
+    """Readouts (n, m) as (length, chunks, m), step k of chunk i at [k, i];
     readout 0 past the end of the record."""
-    pad = chunks * span - len(r)
+    pad = chunks * length - len(r)
     if pad:
         r = np.concatenate([r, np.zeros((pad, r.shape[1]))])
-    return r.reshape(chunks, span, r.shape[1]).transpose(1, 0, 2)
+    return r.reshape(chunks, length, r.shape[1]).transpose(1, 0, 2)
 
 
 def _chunk_products(records: list, cfg: SimConfig, turns: list) -> np.ndarray:
     """Products of the step maps of every chunk but the last, from readouts
-    (span, chunks, m) per channel.
+    (length, chunks, m) per channel.
 
     Returns (4, chunks - 1, 4, m), indexed [component, chunk, column, lane];
     each product is rescaled after every block to largest entry 1, which
     leaves the states it maps to unchanged.
     """
     records = [r[:, :-1, None] for r in records]
-    span, c1, _, m = records[0].shape
+    length, c1, _, m = records[0].shape
     q = np.broadcast_to(np.eye(4)[:, None, :, None], (4, c1, 4, m))
     coef, a = np.empty((4, _BLOCK, c1, 1, m)), np.empty((2, _BLOCK, c1, 1, m))
     rows = np.empty((_BLOCK, 4, c1, 4, m))
-    for k0 in range(0, span, _BLOCK):
-        b = min(_BLOCK, span - k0)
+    for k0 in range(0, length, _BLOCK):
+        b = min(_BLOCK, length - k0)
         _coefficients(coef[:, :b], records, cfg, k0, a[:, :b])
         q = _scan(q, coef[:, :b], turns, rows[:b])
         q = q / np.abs(q).max(axis=(0, 2), keepdims=True)
@@ -241,11 +247,11 @@ def reconstruct_batch(r_z: np.ndarray, r_x: np.ndarray, q_in: np.ndarray,
     (n_steps + 1, m, 3), a transposed view of the (n_steps + 1, 3, m) block
     the kernel writes row by row.
 
-    Each block of the final pass sits in one of two (_BLOCK, 4, chunks, m)
+    Each span of the final pass sits in one of two (span, 4, chunks, m)
     buffers, first as its coefficients, then as its unnormalised states.  A
     plain recursion runs the stages that normalise and fill them on a worker
-    thread (``_worker``) while this one scans; a chunked scan runs them here
-    after each scan.
+    thread (``_worker``) while this one scans, and first-touches the output;
+    a chunked scan runs them here after each scan.
 
     Raises ValueError unless r_z and r_x are 2-D and of one shape,
     DomainError unless q_in is 3 finite values with |q|^2 <= 1 +
@@ -262,40 +268,58 @@ def reconstruct_batch(r_z: np.ndarray, r_x: np.ndarray, q_in: np.ndarray,
     chunks = math.isqrt(n // max(m, 1))
     if chunks < 3:
         chunks = 1
-    span = -(-n // chunks)
+    length = -(-n // chunks)
     frames = [_frame(ch) for ch in cfg.channels]
     # each turn takes (m, t) to the next channel's frame, the last one through
     # the environment map (its xz block) back to the first channel's frame
     env = _env_matrix(cfg.dt, cfg.environment)[::2, ::2]
     turns = [b @ a for a, b in zip(frames, [*frames[1:], frames[0] @ env])]
-    records = [_by_chunk(r, chunks, span) for r in (r_z, r_x)]
+    records = [_by_chunk(r, chunks, length) for r in (r_z, r_x)]
     start = np.empty((4, chunks, m))
     start[:, 0] = _start(q_in[:, None], frames[0])
-    states = np.empty((chunks * span + 1, 3, m))
+    states = np.empty((chunks * length + 1, 3, m))
     states[0] = q_in[:, None]
     # steps[k, :, i] holds the states after step k of chunk i
-    steps = states[1:].reshape(chunks, span, 3, m).transpose(1, 2, 0, 3)
-    offsets = np.arange(_BLOCK)[:, None, None] + span * np.arange(chunks)[:, None]
-    edges = range(0, span, _BLOCK)
-    # each block as (4, b, chunks, m) coefficients in a step-major buffer, so
+    steps = states[1:].reshape(chunks, length, 3, m).transpose(1, 2, 0, 3)
+    span = _SPAN if chunks == 1 else _BLOCK
+    offsets = np.arange(span)[:, None, None] + length * np.arange(chunks)[:, None]
+    edges = range(0, length, span)
+    # each span as (4, b, chunks, m) coefficients in a step-major buffer, so
     # that the scan writes each step's state contiguously
-    bufs = [np.empty((_BLOCK, 4, chunks, m)).swapaxes(0, 1) for _ in edges[:2]]
-    blocks = [(k0, bufs[i % 2][:, :min(_BLOCK, span - k0)]) for i, k0 in enumerate(edges)]
-    tmp = np.empty((2, _BLOCK, chunks, m))  # the stages' scratch
+    bufs = [np.empty((span, 4, chunks, m)).swapaxes(0, 1) for _ in edges[:2]]
+    spans = [(k0, bufs[i % 2][:, :min(span, length - k0)]) for i, k0 in enumerate(edges)]
+    tmp = np.empty((2, span, chunks, m))  # the stage's scratch
+    first = None
 
     def stage(k):
-        """Normalise block k - 1, then fill its buffer with block k + 1."""
-        failed = None
+        """Normalise span k - 1, then fill its buffer with span k + 1; raise
+        the first failure once no later span can hold an earlier step."""
+        nonlocal first
         if k > 0:
-            k0, rows = blocks[k - 1]
+            k0, rows = spans[k - 1]
             b = rows.shape[1]
             failed = _normalise(rows, frames[0], steps[k0:k0 + b], k0 + offsets[:b], tmp[:, :b])
-        if k + 1 < len(blocks):
-            k0, coef = blocks[k + 1]
+            first = min([f for f in (first, failed) if f], default=None)
+            if first and first[0] < k * span:  # later spans hold steps from k * span on only
+                raise ReconstructionError(first[1])
+        if k + 1 < len(spans):
+            k0, coef = spans[k + 1]
             _coefficients(coef, records, cfg, k0, tmp[:, :coef.shape[1]])
-        return failed
 
-    first = None
+    def scan(k):
+        """Scan span k block by block, each from the last one's end rescaled to
+        w = 1; then, where a worker normalises, write one value to each 4 kB
+        page of span k + 1's output, which the stage overwrites."""
+        nonlocal q
+        if k < len(spans):
+            coef = spans[k][1]
+            for j in range(0, coef.shape[1], _BLOCK):
+                block = coef[:, j:j + _BLOCK]
+                last = _scan(q, block, turns, block.swapaxes(0, 1))
+                q = np.concatenate([np.ones((1, chunks, m)), last[1:] / last[:1]])
+        if worker and chunks == 1:
+            states[1 + (k + 1) * span:1 + (k + 2) * span].reshape(-1)[::512] = 0.0
+
     with _worker(chunks) as worker, np.errstate(all="ignore"):
         if chunks > 1:
             prods = _chunk_products(records, cfg, turns)
@@ -303,18 +327,8 @@ def reconstruct_batch(r_z: np.ndarray, r_x: np.ndarray, q_in: np.ndarray,
                 v = (prods[:, i] * start[None, :, i]).sum(axis=1)
                 start[:, i + 1] = v / v[0]
         q = start
-        for k in range(-1, len(blocks) + 1):
-            busy = worker and worker.submit(stage, k)
-            if 0 <= k < len(blocks):
-                coef = blocks[k][1]
-                last = _scan(q, coef, turns, coef.swapaxes(0, 1))
-                # the next block starts as _normalise will normalise this end
-                q = np.concatenate([np.ones((1, chunks, m)), last[1:] / last[:1]])
-            failed = busy.result() if busy else stage(k)
-            first = min([f for f in (first, failed) if f], default=None)
-            if first and first[0] < k * _BLOCK:
-                # later blocks hold steps from k * _BLOCK on only
-                break
+        _look_ahead([[functools.partial(stage, k)] for k in range(-1, len(spans) + 1)], scan,
+                    worker, share=False)
     if first:
         raise ReconstructionError(first[1])
     return states[:n + 1].transpose(0, 2, 1)

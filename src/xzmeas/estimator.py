@@ -24,6 +24,9 @@ from .sde import _philox, _sample_times, polar_bridge, polar_ensemble, polar_sta
 _COORD = {"x": 0, "y": 1, "z": 2}
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2 * math.pi)
+#: float spacings of theta_in and theta_f that a post-selection window spans
+#: at least, so that rounding moves its edges by under 0.1 %
+_WINDOW_SPACINGS = 1024
 
 
 class SelectionError(RuntimeError):
@@ -40,7 +43,9 @@ class SelectionCriterion:
 
     ``euclidean`` switches to a distance ball in the xz plane, which is the
     right notion for mixed-state (non-ideal) ensembles whose final states lie
-    off the unit circle.
+    off the unit circle.  With ``theta_f``, DomainError refuses angles so
+    large that the window spans fewer than ``_WINDOW_SPACINGS`` of their
+    float spacings.
     """
 
     theta_in: float
@@ -54,6 +59,11 @@ class SelectionCriterion:
             raise DomainError("selection angles must be finite")
         if self.theta_f is not None and not 0 < self.angular_window <= math.pi:
             raise DomainError("angular_window must lie in (0, pi]")
+        for name in ("theta_in", "theta_f") if self.theta_f is not None else ():
+            spacing = math.ulp(getattr(self, name))
+            if self.angular_window < _WINDOW_SPACINGS * spacing:
+                raise DomainError(f"{name} {getattr(self, name)!r} is too large for angular_window"
+                                  f" {self.angular_window!r}: its float spacing is {spacing:.3g}")
 
 
 @dataclass(frozen=True)

@@ -599,7 +599,7 @@ def test_a_chunked_replay_imports_no_executor():
 
 @pytest.mark.parametrize("n", [0, 16, 37, 500])
 def test_worker_and_calling_thread_replay_the_same_bytes(monkeypatch, n):
-    # no block, exactly one, a short last block, and 32 blocks
+    # no span, one short span, a full span and a short one, and 16 spans
     cfg = SimConfig(
         channels=(ChannelConfig(0.0, 0.5, 0.8), ChannelConfig(1.1, 0.4, 0.6)),
         dt=0.004,
@@ -615,7 +615,7 @@ def test_worker_and_calling_thread_replay_the_same_bytes(monkeypatch, n):
             _stages_on(patch, worker)
             threads = _stage_threads(patch)
             runs.append(reconstruct_batch(r_z, r_x, q_in, cfg))
-        assert len(threads) == -(-n // bayes._BLOCK)
+        assert len(threads) == -(-n // bayes._SPAN)  # one _normalise call per span
         assert all((t is threading.main_thread()) is not worker for t in threads)
     assert runs[0].shape == (n + 1, 64, 3)
     assert np.array_equal(runs[0], runs[1])
@@ -639,11 +639,12 @@ def _failing_readouts(kind: str, steps: dict, n: int, m: int):
 @pytest.mark.parametrize("step", [3, 50, 98])
 @pytest.mark.parametrize("worker", [True, False])
 def test_stages_name_the_earliest_failing_step(monkeypatch, kind, step, worker):
-    # 100 steps in 7 blocks, the last of 4 steps: a failure in the first, a
-    # middle and the last block, with later failures in other lanes
+    # 100 steps in 4 spans, the last of 4 steps: a failure in the first, a
+    # middle and the last span, with later failures in other lanes, one in
+    # the same span and one in the next span, if there is one
     _stages_on(monkeypatch, worker)
     cfg = ideal_xz_config(t_final=1.0)
-    steps = {7: step, 2: min(step + 1, 99), 11: min(step + 20, 99)}
+    steps = {7: step, 2: min(step + 1, 99), 11: min(step + bayes._SPAN + 8, 99)}
     r_z, r_x = _failing_readouts(kind, steps, 100, 12)
     with pytest.raises(ReconstructionError, match=rf"at step {step}(:|$)"):
         reconstruct_batch(r_z, r_x, cfg.initial_state.as_array(), cfg)

@@ -281,6 +281,34 @@ def test_count_must_be_positive_integer(tmp_path, capsys, mode, count):
     assert "count must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [1e300, 1e17, 1e15])
+@pytest.mark.parametrize("field", ["theta_in", "theta_f"])
+def test_compare_angle_too_coarse_for_its_window_exits_config(tmp_path, capsys, field, value):
+    # unchecked, 1e300 looped in _window_finals, as theta_f - theta_in + 2 pi n
+    # stopped changing, until a MemoryError; 1e17 exited 2, and 1e15 exited 0
+    # with angles 0.125 apart, coarser than the 0.05 window
+    cfg = dict(compare_config(tmp_path / "out", count=100), angular_window=0.05)
+    cfg[field] = value
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_CONFIG
+    assert f"{field} {value!r} is too large for angular_window 0.05" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("dt", 1e-300), ("t_final", 1e6)])
+def test_simulate_arrays_past_memory_exit_config(tmp_path, capsys, field, value):
+    # unchecked, dt = 1e-300 escaped from run_ensemble's np.empty as
+    # "ValueError: Maximum allowed dimension exceeded", and t_final = 1e6 at
+    # count 10 as a MemoryError for 11 GiB of states; the count is raised
+    # where this machine has more memory than that
+    cfg = simulate_config(tmp_path / "out")
+    cfg["sim"][field] = value
+    n = round(cfg["sim"]["t_final"] / cfg["sim"]["dt"])
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    cfg["count"] = max(10, memory // (24 * (n + 1)) + 1)
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_CONFIG
+    need = 24 * cfg["count"] * (n + 1)
+    assert f"count {cfg['count']} x {n:.6g} steps needs {need:.4g} bytes" in capsys.readouterr().err
+
+
 def simulate_config(out, seed=3):
     return {
         "schema_version": 1,

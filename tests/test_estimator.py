@@ -91,6 +91,15 @@ def test_selection_rejects_non_finite_angles(theta_in, theta_f):
         SelectionCriterion(theta_in, 3.5, theta_f)
 
 
+def test_selection_refuses_angles_coarser_than_its_window():
+    # the window must span 1024 float spacings of theta_in and of theta_f
+    SelectionCriterion(1e10, 3.5, 1e10 + 1.0, 0.05)  # spacing 1.9e-6
+    for theta_in, theta_f, name in ((1e15, 0.3, "theta_in"), (0.3, 1e12, "theta_f")):
+        with pytest.raises(DomainError, match=f"{name} .* too large for angular_window 0.05"):
+            SelectionCriterion(theta_in, 3.5, theta_f, 0.05)
+    SelectionCriterion(1e300, 3.5)  # no window, nothing to resolve
+
+
 def test_select_empty_errors(ens):
     crit = SelectionCriterion(
         theta_in=math.pi / 4,

@@ -343,9 +343,9 @@ def _force_split(monkeypatch, split):
 @pytest.mark.parametrize("split", ["worker", "caller", "alternate"])
 def test_ensemble_same_whichever_thread_draws_each_block(monkeypatch, split, chunk):
     # members 10..209 fill blocks 0..3 only in part, in one chunk or in two
-    # (10..127 and 128..209); 35 steps are a full slice and a 3-step one
-    cfg = general_config(t_final=0.07, seed=12)
-    assert cfg.n_steps % sde._SLICE == 3
+    # (10..127 and 128..209); _SLICE + 3 steps are a full slice and a 3-step one
+    cfg = general_config(t_final=(sde._SLICE + 3) * 0.002, seed=12)
+    assert cfg.n_steps == sde._SLICE + 3
     ref = _run_with(monkeypatch, cfg, 200, chunk=chunk, stream_offset=10)
     draws = _force_split(monkeypatch, split)
     ens = _run_with(monkeypatch, cfg, 200, chunk=chunk, stream_offset=10)
