@@ -56,8 +56,8 @@ class BoundaryCondition:
     def __post_init__(self):
         if not all(math.isfinite(a) for a in (self.theta_in, self.theta_f) if a is not None):
             raise DomainError("boundary angles must be finite")
-        if not self.tau_m > 0:  # negated tests so that NaN is rejected
-            raise DomainError(f"tau_m must be positive, got {self.tau_m}")
+        if not 0 < self.tau_m < math.inf:  # negated tests so that NaN is rejected
+            raise DomainError(f"tau_m must be positive and finite, got {self.tau_m}")
         if not (self.t_total > 0 if self.t_total is not None else self.theta_f is None):
             raise DomainError(f"t_total must be > 0 and set for post-selection, got {self.t_total}")
 
@@ -77,10 +77,6 @@ def green(t, t2, T: float):
     return (t - t2) * (t > t2) - (1.0 - t2 / T) * t
 
 
-def _normalize_sources(src) -> list[tuple[int, float]]:
-    return [(int(s), float(t)) for s, t in src if s != 0]
-
-
 def _winding_ratio(dtheta, S, T: float, tau: float, resummed=None):
     """Ratio of the source-shifted to plain winding sums, elementwise in ``S``.
 
@@ -91,7 +87,7 @@ def _winding_ratio(dtheta, S, T: float, tau: float, resummed=None):
     if resummed is None:
         resummed = T / tau > RESUM_THRESHOLD
     if resummed:
-        return _winding_ratio_resummed(dtheta, S, T, tau, MAX_WINDINGS)
+        return _winding_ratio_resummed(dtheta, S, T, tau)
     center = -round(dtheta / (2 * math.pi))
     u = dtheta + 2 * math.pi * np.arange(center - MAX_WINDINGS, center + MAX_WINDINGS + 1)
     expo = -(u**2) * tau / (2 * T)
@@ -102,17 +98,17 @@ def _winding_ratio(dtheta, S, T: float, tau: float, resummed=None):
     return np.einsum("...j,j", np.exp(1j / T * S[..., None] * u), w) / w.sum()
 
 
-def _winding_ratio_resummed(dtheta, S, T: float, tau: float, n_max: int):
+def _winding_ratio_resummed(dtheta, S, T: float, tau: float):
     """Poisson-resummed ratio, elementwise in ``S``.
 
     Fourier modes k with log weights i k dtheta - (k T - S)^2/(2 tau T), over
-    the same sum at S = 0.  The modes span min(round(S/T), 0) - n_max to
-    max(round(S/T), 0) + n_max for every ``S``; the numerator skips the modes
-    whose scaled weight is exactly 0.0 for every ``S``.
+    the same sum at S = 0.  The modes span min(round(S/T), 0) - MAX_WINDINGS
+    to max(round(S/T), 0) + MAX_WINDINGS for every ``S``; the numerator skips
+    the modes whose scaled weight is exactly 0.0 for every ``S``.
     """
     S = np.asarray(S, dtype=float)
     centers = np.rint(S / T)
-    k = np.arange(centers.min(initial=0) - n_max, centers.max(initial=0) + n_max + 1)
+    k = np.arange(centers.min(initial=0) - MAX_WINDINGS, centers.max(initial=0) + MAX_WINDINGS + 1)
     num = -((k * T - S[..., None]) ** 2) / (2 * tau * T)
     den = -(k**2) * T / (2 * tau)  # peak 0 at k = 0
     _check_tails(den)
@@ -166,20 +162,6 @@ def _source_average(signs, times, bc, resummed=None) -> np.ndarray:
         S = np.einsum("mn,kn->mk", times, signs)
         avg *= _winding_ratio(bc.theta_f - bc.theta_in, S, T, bc.tau_m, resummed)
     return avg
-
-
-def cond_avg_phase(src, bc: BoundaryCondition) -> complex:
-    """Pre/post-selected average of exp[i sum_j s_j theta(t_j)].
-
-    ``src`` is an iterable of (s, t) pairs in any order; entries with s = 0
-    are dropped, so the empty source returns exactly 1.  This is
-    ``_source_average`` on one row.
-    """
-    pts = _normalize_sources(src)
-    if not pts:
-        return 1.0 + 0.0j
-    signs, times = np.array(pts, dtype=float).T
-    return complex(_source_average(signs[None], times[None], bc)[0, 0])
 
 
 _POINT_KINDS = {"z", "x"}

@@ -27,7 +27,7 @@ from .analytic import (
 )
 from .bayes import ReconstructionError, read_readout_records, readout_header, reconstruct
 from .core import (
-    DomainError, SimConfig, column_rows, open_rewrite, polar_to_bloch, write_table,
+    DomainError, SimConfig, column_rows, open_rewrite, polar_to_bloch, require_memory, write_table,
 )
 from .estimator import (
     SelectionCriterion,
@@ -107,10 +107,12 @@ def _number(cfg: dict, key: str, *default) -> float | None:
 
 
 def _grid(cfg: dict, key: str) -> np.ndarray:
-    """Field ``key``: a 1-D grid, a list or ``{"start", "stop", "num"}``."""
+    """Field ``key``: a 1-D grid, a list or ``{"start", "stop", "num"}``; a
+    ``num`` whose grid exceeds physical memory is refused before it is built."""
     spec = _require(cfg, key)
     try:
         if isinstance(spec, dict):
+            require_memory(8.0 * spec["num"], f"{key} num {spec['num']!r}")
             grid = np.linspace(spec["start"], spec["stop"], spec["num"])
         else:
             grid = np.asarray(spec, dtype=float)
@@ -201,6 +203,7 @@ def _mode_analytic(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
     bc = _boundary(cfg)
     t1, t2 = _curve(cfg)
     points = _count(cfg, "state_points", 101)
+    require_memory(32.0 * points, f"state_points {points}")  # times and states
     rows = []
     for kind in _kinds(cfg):
         values = _exact_correlator(kind, t1, t2, bc)
@@ -223,7 +226,9 @@ def _mode_analytic(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
 def _mode_fpe(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
     bc = _boundary(cfg, optional=())
     times = _grid(cfg, "times").tolist()
-    thetas = np.linspace(0.0, 2 * math.pi, _count(cfg, "theta_points", 181))
+    points = _count(cfg, "theta_points", 181)
+    require_memory(8.0 * points * (len(times) + 1), f"theta_points {points} at {len(times)} times")
+    thetas = np.linspace(0.0, 2 * math.pi, points)
     kp = KernelParams.from_tau(bc.tau_m)
     dens = [two_sided_density(thetas, t, bc, kp).tolist() for t in times]
     path = out / "fpe_density.csv"

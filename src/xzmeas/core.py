@@ -112,6 +112,14 @@ class QubitEnvironment:
                               f"depolarization_rate {self.depolarization_rate} finite and >= 0")
 
 
+def require_memory(need: float, what: str) -> None:
+    """Raise DomainError, naming ``what``, when ``need`` bytes (a float, so
+    inf past the floats) exceed physical memory; callers check before they
+    allocate."""
+    if hasattr(os, "sysconf") and need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise DomainError(f"{what} needs {need:.4g} bytes, more than physical memory")
+
+
 #: stability guard on the Euler-Maruyama step
 MAX_DT_OVER_TAU = 0.05
 

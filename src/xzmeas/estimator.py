@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DomainError, write_table
+from .core import DomainError, require_memory, write_table
 from .sde import _philox, _sample_times, polar_bridge, polar_ensemble, polar_states
 
 _COORD = {"x": 0, "y": 1, "z": 2}
@@ -78,16 +78,18 @@ class SubEnsemble:
         return self.accepted_count / self.total_count
 
 
-def _snap_index(times: np.ndarray, t):
+def _snap_index(times: np.ndarray, t, name: str):
     """Index of the stored time nearest each of ``t`` (any shape).  A time
     farther than half the grid's smallest spacing from every stored time,
-    or NaN, raises DomainError; on a uniform grid that is dt/2."""
+    or NaN, raises DomainError naming ``name``; on a uniform grid that is
+    dt/2.  The rounding slack scales with the stored time, so an infinite
+    ``t`` is off the grid."""
     t = np.asarray(t, dtype=float)
     idx = np.argmin(np.abs(times - t[..., None]), axis=-1)
     half = np.diff(times).min() / 2 if len(times) > 1 else np.inf
-    off = ~(np.abs(times[idx] - t) <= half + 1e-12 * np.maximum(1.0, np.abs(t)))
+    off = ~(np.abs(times[idx] - t) <= half + 1e-12 * np.maximum(1.0, np.abs(times[idx])))
     if off.any():
-        raise DomainError(f"time {t[off][0]} lies outside the stored grid")
+        raise DomainError(f"{name}: time {t[off][0]} lies outside the stored grid")
     return idx
 
 
@@ -113,7 +115,7 @@ def _horizon(times: np.ndarray, crit: SelectionCriterion) -> int:
     """Index of the stored time nearest the selection horizon t_total."""
     if times[-1] < crit.t_total - 1e-12:
         raise DomainError("ensemble is shorter than the selection horizon")
-    return int(_snap_index(times, crit.t_total))
+    return int(_snap_index(times, crit.t_total, "t_total"))
 
 
 def select(ens, crit: SelectionCriterion) -> SubEnsemble:
@@ -174,8 +176,8 @@ def _truncated_normal(gen, a: float, b: float, size: int) -> np.ndarray:
     return out
 
 
-def _window_finals(crit: SelectionCriterion, sd: float, count: int,
-                   gen) -> np.ndarray:
+def _window_finals(crit: SelectionCriterion, sd: float, count: int, gen,
+                   member_bytes: float) -> np.ndarray:
     """Unwrapped final angles of the members of ``count`` draws of
     N(theta_in, sd^2) that meet a criterion with ``theta_f``.
 
@@ -184,7 +186,9 @@ def _window_finals(crit: SelectionCriterion, sd: float, count: int,
     exactly 0.0; each member takes a winding with probability proportional
     to its mass, then an angle from the normal truncated to that window.
     Members come grouped by winding.  A euclidean ball of radius r on pure
-    states is the window w = 2 arcsin(min(r/2, 1)).
+    states is the window w = 2 arcsin(min(r/2, 1)).  An accepted count whose
+    ``member_bytes`` each exceed physical memory raises DomainError before
+    any member is drawn.
     """
     w = crit.angular_window
     if crit.euclidean:
@@ -205,6 +209,7 @@ def _window_finals(crit: SelectionCriterion, sd: float, count: int,
     accepted = int(gen.binomial(count, min(p, 1.0)))
     if accepted == 0:
         raise _empty_selection(count)
+    require_memory(accepted * member_bytes, f"count {count} ({accepted} accepted)")
     per_window = gen.multinomial(accepted, np.array(masses) / p)
     z = [_truncated_normal(gen, lo, hi, int(k))
          for (lo, hi), k in zip(windows, per_window) if k]
@@ -231,13 +236,15 @@ def select_polar(crit: SelectionCriterion, tau_m: float, times, count: int,
     times = _sample_times(times)
     idx = _horizon(times, crit)
     horizon = times[idx:idx + 1]
+    member_bytes = 32.0 * (idx + 1)  # a member's angles and states
     if crit.theta_f is None:
+        require_memory(count * member_bytes, f"count {count}")
         final = polar_ensemble(crit.theta_in, tau_m, horizon, count, seed)[:, 0]
     else:
         if not horizon[0] > 0:
             raise DomainError("post-selection needs a horizon after t = 0")
         gen = _philox(seed, 0)
-        final = _window_finals(crit, math.sqrt(horizon[0] / tau_m), count, gen)
+        final = _window_finals(crit, math.sqrt(horizon[0] / tau_m), count, gen, member_bytes)
     thetas = polar_bridge(crit.theta_in, tau_m, times[: idx + 1], final, seed)
     return SubEnsemble(
         times=times[: idx + 1],
@@ -247,13 +254,14 @@ def select_polar(crit: SelectionCriterion, tau_m: float, times, count: int,
     )
 
 
-def _rows(sub: SubEnsemble, a: str, t) -> np.ndarray:
-    """Coordinate ``a`` of every member at the stored times nearest ``t``, as
-    C-contiguous rows of shape ``t.shape + (members,)``.  A row-wise numpy
-    reduction over such rows rounds as the 1-D one over each row does."""
+def _rows(sub: SubEnsemble, a: str, t, name: str) -> np.ndarray:
+    """Coordinate ``a`` of every member at the stored times nearest ``t``
+    (called ``name`` in errors), as C-contiguous rows of shape ``t.shape +
+    (members,)``.  A row-wise numpy reduction over such rows rounds as the
+    1-D one over each row does."""
     if a not in _COORD:
         raise DomainError(f"unknown coordinate {a!r}; expected x, y or z")
-    return np.ascontiguousarray(sub.states[..., _COORD[a]].T[_snap_index(sub.times, t)])
+    return np.ascontiguousarray(sub.states[..., _COORD[a]].T[_snap_index(sub.times, t, name)])
 
 
 def _result(value, se):
@@ -269,7 +277,7 @@ def correlate(sub: SubEnsemble, a: str, b: str, t1, t2):
     """
     if sub.accepted_count < 2:
         raise DomainError("need at least 2 accepted trajectories")
-    prod = _rows(sub, a, t1) * _rows(sub, b, t2)
+    prod = _rows(sub, a, t1, "t1") * _rows(sub, b, t2, "t2")
     n = prod.shape[-1]
     return _result(np.mean(prod, axis=-1), np.std(prod, ddof=1, axis=-1) / math.sqrt(n))
 
@@ -279,7 +287,7 @@ def covariance(sub: SubEnsemble, a: str, b: str, t1, t2):
     and ``t2`` broadcast as in ``correlate``."""
     if sub.accepted_count < 2:
         raise DomainError("need at least 2 accepted trajectories")
-    va, vb = _rows(sub, a, t1), _rows(sub, b, t2)
+    va, vb = _rows(sub, a, t1, "t1"), _rows(sub, b, t2, "t2")
     da = va - va.mean(axis=-1, keepdims=True)
     db = vb - vb.mean(axis=-1, keepdims=True)
     n = va.shape[-1]

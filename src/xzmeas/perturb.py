@@ -3,8 +3,7 @@
 The stochastic action splits into a free part (exponential propagators for x
 and z) and an interaction part whose vertices carry one factor of the noise.
 Keeping diagrams with no noise loops gives connected covariances that are
-exact to first order in the quantum efficiencies, plus the decoherence-matrix
-eigenvalues that organize the arbitrary-angle generalization.
+exact to first order in the quantum efficiencies.
 
 The published z-z expression carries a first term with an extra 1/tau_z
 relative to the z-x analogue; re-deriving the two-propagator diagrams (and
@@ -33,33 +32,13 @@ class TreeParams:
     z_in: float
 
     def __post_init__(self):
-        if not (self.gamma_x > 0 and self.gamma_z > 0):  # negated so that NaN fails, as below
-            raise DomainError(f"rates gamma_x {self.gamma_x}, gamma_z {self.gamma_z} must be > 0")
+        if not all(0 < g < math.inf for g in (self.gamma_x, self.gamma_z)):  # NaN fails, as below
+            raise DomainError(f"rates gamma_x {self.gamma_x}, gamma_z {self.gamma_z}"
+                              " must be finite and > 0")
         if not (0 <= self.eta_x <= 1 and 0 <= self.eta_z <= 1):
             raise DomainError("efficiencies must lie in [0, 1]")
         if not self.x_in**2 + self.z_in**2 <= 1 + 1e-12:
             raise DomainError(f"initial coordinates {self.x_in}, {self.z_in} must lie in the disc")
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues of the 2x2 decoherence matrix and its discriminant."""
-
-    lambda_plus: float
-    lambda_minus: float
-    xi: float
-
-
-def eig_decoherence(gamma_z: float, gamma_phi: float, phi: float) -> EigenDecomposition:
-    """Eigen-decomposition of the xz dephasing matrix for axis angle phi."""
-    if not (gamma_z > 0 and gamma_phi > 0):  # negated so that NaN fails
-        raise DomainError("rates must be positive")
-    xi = gamma_phi**2 + gamma_z**2 + 2 * gamma_phi * gamma_z * math.cos(2 * phi)
-    root = math.sqrt(max(xi, 0.0))
-    half = -(gamma_z + gamma_phi) / 2
-    return EigenDecomposition(
-        lambda_plus=half + root / 2, lambda_minus=half - root / 2, xi=xi
-    )
 
 
 def mean_tree(coord: str, t, p: TreeParams):

@@ -47,13 +47,12 @@ import functools
 import io
 import json
 import math
-import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NORM_TOL, DomainError, SimConfig, open_rewrite
+from .core import NORM_TOL, DomainError, SimConfig, open_rewrite, require_memory
 
 
 class IntegratorError(RuntimeError):
@@ -354,10 +353,8 @@ def run_ensemble(cfg: SimConfig, count: int, keep_readouts: bool = True,
         raise OverflowError(f"stream ids {stream_offset}..{stream_offset + count - 1}"
                             " leave [0, 2**64)")
     n = cfg.n_steps
-    need = 8.0 * count * (3.0 * (n + 1) + (2.0 * n if keep_readouts else 0.0))  # inf past floats
-    if hasattr(os, "sysconf") and need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise DomainError(f"count {count} x {n:.6g} steps needs {need:.4g} bytes of states"
-                          f"{' and readouts' if keep_readouts else ''}, more than physical memory")
+    require_memory(8.0 * count * (3.0 * (n + 1) + (2.0 * n if keep_readouts else 0.0)),
+                   f"count {count} x {n:.6g} steps")
     base = stream_offset
     states = np.empty((n + 1, 3, count))
     readouts = np.empty((n, 2, count)) if keep_readouts else None

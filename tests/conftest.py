@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from xzmeas import sde
+from xzmeas import analytic, sde
 from xzmeas.core import ChannelConfig, QubitEnvironment, SimConfig, polar_to_bloch
 
 
@@ -30,6 +30,12 @@ def kernel_run(cfg, q0, xi):
     readouts = np.empty((n, 2, m))
     sde._propagate(np.array(q0, dtype=float), xi, cfg, states, readouts)
     return states, readouts
+
+
+def source_average(src, bc, resummed=None):
+    """``analytic._source_average`` on one row of (sign, time) pairs."""
+    signs, times = np.array(src, dtype=float).T
+    return complex(analytic._source_average(signs[None], times[None], bc, resummed)[0, 0])
 
 
 @pytest.fixture(scope="session")

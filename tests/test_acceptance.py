@@ -18,7 +18,6 @@ from scipy.linalg import expm
 from xzmeas import analytic, cli
 from xzmeas.analytic import (
     BoundaryCondition,
-    cond_avg_phase,
     correlator_cond,
     correlator_pre,
     subens_avg_state,
@@ -38,8 +37,8 @@ from xzmeas.estimator import (
     select,
     select_polar,
 )
-from xzmeas.fpe import KernelParams, cond_avg_fpe, transition_prob
-from xzmeas.perturb import TreeParams, cov_tree, eig_decoherence, var_tree
+from xzmeas.fpe import KernelParams, transition_prob
+from xzmeas.perturb import TreeParams, cov_tree, var_tree
 from xzmeas.sde import polar_ensemble, polar_states, run_ensemble
 
 from conftest import ideal_xz_config
@@ -69,26 +68,20 @@ def _polar_sub(count, t_total, times, seed, window=0.05):
     return select_polar(crit, TAU, times, count, seed=seed)
 
 
-def test_exact_backends_agree(gate, monkeypatch):
-    # the direct winding sum of the path integral, forced at every horizon,
-    # vs the diffusion kernel's Fourier-mode series, every sign pair on a 5x5
-    # time grid, three horizons
-    monkeypatch.setattr(analytic, "RESUM_THRESHOLD", math.inf)
-    kp = KernelParams.from_tau(TAU)
+def test_exact_backends_agree(gate):
+    # the direct winding sum of the path integral vs its Poisson resummation,
+    # the diffusion kernel's Fourier-mode series, each forced at every
+    # horizon: every sign pair on a 5x5 time grid, three horizons
+    signs = np.array([(s1, s2) for s1 in (1, -1) for s2 in (1, -1)], dtype=float)
     start = time.perf_counter()
     worst = 0.0
     for t_total in (TAU, 3.5 * TAU, 10 * TAU):
         bc = BoundaryCondition(THETA_IN, TAU, THETA_F, t_total)
         grid = np.linspace(0.1 * t_total, 0.9 * t_total, 5)
-        for t1 in grid:
-            for t2 in grid:
-                for s1 in (1, -1):
-                    for s2 in (1, -1):
-                        src = sorted([(s1, float(t1)), (s2, float(t2))],
-                                     key=lambda p: p[1])
-                        a = cond_avg_phase(src, bc)
-                        b = cond_avg_fpe(src, bc, kp)
-                        worst = max(worst, abs(a - b))
+        times = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+        a = analytic._source_average(signs, times, bc, resummed=False)
+        b = analytic._source_average(signs, times, bc, resummed=True)
+        worst = max(worst, float(np.max(np.abs(a - b))))
     elapsed = time.perf_counter() - start
     gate("exact backends agree (1e-10, <1s)", worst <= 1e-10 and elapsed < 1.0)
 
@@ -276,11 +269,13 @@ def test_mean_decay_matches_lindblad(gate):
                 np.all(np.abs(samples.mean(axis=0) - exact) <= 3 * se + 2 * cfg.dt)
             )
         # decoherence time scales: closed-form eigenvalues of the xz block
-        eig = eig_decoherence(0.4, 0.3, phi)
+        gz, gp = 0.4, 0.3
+        root = math.sqrt(gp**2 + gz**2 + 2 * gp * gz * math.cos(2 * phi))
+        lam_plus, lam_minus = (root - gz - gp) / 2, (-root - gz - gp) / 2
         block = np.array([[a[0, 0], a[0, 2]], [a[2, 0], a[2, 2]]])
         lams = np.sort(np.linalg.eigvals(block).real)
-        ok = ok and abs(lams[1] - eig.lambda_plus) <= 1e-12
-        ok = ok and abs(lams[0] - eig.lambda_minus) <= 1e-12
+        ok = ok and abs(lams[1] - lam_plus) <= 1e-12
+        ok = ok and abs(lams[0] - lam_minus) <= 1e-12
     gate("ensemble mean matches Lindblad exponentials (3 SE)", ok)
 
 

@@ -9,7 +9,6 @@ from xzmeas.analytic import (
     MAX_POINTS,
     BoundaryCondition,
     SeriesError,
-    cond_avg_phase,
     correlator_cond,
     correlator_npoint,
     correlator_pre,
@@ -18,6 +17,8 @@ from xzmeas.analytic import (
 )
 from xzmeas.core import DomainError
 from xzmeas.fpe import KernelParams, transition_prob
+
+from conftest import source_average
 
 
 BC = BoundaryCondition(theta_in=math.pi / 4, tau_m=1.0, theta_f=7 * math.pi / 8, t_total=3.5)
@@ -80,7 +81,7 @@ def test_imaginary_parts_negligible(rng):
     for _ in range(40):
         t = sorted(rng.uniform(0.05, BC.t_total - 0.05, 2))
         src = ((1, t[0]), (-1, t[1]))
-        val = cond_avg_phase(src, BC)
+        val = source_average(src, BC)
         assert isinstance(val, complex)
         # the correlator assembly cancels imaginary parts below 1e-12
         for kind in ("zz", "zx", "xx"):
@@ -100,10 +101,10 @@ def test_winding_sum_converged(rng, monkeypatch):
     # half the windings give the same average: the fixed cap is not binding
     pairs = [((1, float(t1)), (1, float(t2))) for t1, t2 in
              rng.uniform(0.05, BC.t_total - 0.05, (20, 2))]
-    full = [cond_avg_phase(src, BC) for src in pairs]
+    full = [source_average(src, BC) for src in pairs]
     monkeypatch.setattr(analytic, "MAX_WINDINGS", 32)
     for src, b in zip(pairs, full):
-        assert abs(cond_avg_phase(src, BC) - b) < 1e-12
+        assert abs(source_average(src, BC) - b) < 1e-12
 
 
 def test_resummation_branch_continuity():
@@ -116,7 +117,7 @@ def test_resummation_branch_continuity():
     # form must match it wherever both converge
     for T in (0.3, 0.6, 0.9, 0.999):
         direct = _winding_ratio(0.35, 0.2, T, 1.0)
-        resummed = _winding_ratio_resummed(0.35, 0.2, T, 1.0, 64)
+        resummed = _winding_ratio_resummed(0.35, 0.2, T, 1.0)
         assert abs(direct - resummed) < 1e-12 * max(1.0, abs(direct))
     lo = _winding_ratio(0.35, 0.2, 0.9999, 1.0)
     hi = _winding_ratio(0.35, 0.2, 1.0001, 1.0)
@@ -124,7 +125,7 @@ def test_resummation_branch_continuity():
     for frac in (1e-4, 1e-3, 0.009, 0.02):
         bc = BoundaryCondition(theta_in=0.2, tau_m=1.0, theta_f=0.25, t_total=frac)
         src = ((1, frac / 2),)
-        val = cond_avg_phase(src, bc)
+        val = source_average(src, bc)
         assert np.isfinite(val.real) and np.isfinite(val.imag)
 
 
@@ -189,12 +190,12 @@ def test_truncated_winding_series_raises(monkeypatch):
     direct = BoundaryCondition(theta_in=0.3, tau_m=1.0, theta_f=2.0, t_total=1.0)
     resummed = BoundaryCondition(theta_in=0.3, tau_m=1.0, theta_f=2.0, t_total=3.5)
     for bc in (direct, resummed):
-        cond_avg_phase(((1, 0.4),), bc)
+        source_average(((1, 0.4),), bc)
     subens_avg_state(0.5, direct)
     monkeypatch.setattr(analytic, "MAX_WINDINGS", 1)
     for bc in (direct, resummed):
         with pytest.raises(SeriesError, match="not converged"):
-            cond_avg_phase(((1, 0.4),), bc)
+            source_average(((1, 0.4),), bc)
     with pytest.raises(SeriesError, match="not converged"):
         subens_avg_state(0.5, direct)
 

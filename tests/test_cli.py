@@ -309,6 +309,59 @@ def test_simulate_arrays_past_memory_exit_config(tmp_path, capsys, field, value)
     assert f"count {cfg['count']} x {n:.6g} steps needs {need:.4g} bytes" in capsys.readouterr().err
 
 
+def test_fpe_density_just_past_the_old_crossover_integrates_to_one(tmp_path):
+    # D t = 0.01 took the cosine series, which lost the far tail of the
+    # post-selection probability: the density integrated to 2.0e-33
+    out = tmp_path / "out"
+    cfg = {"schema_version": 1, "mode": "fpe", "output_dir": str(out), "theta_in": 0.0,
+           "theta_f": 2.126, "tau_m": 1.0, "t_total": 0.02, "times": [0.01]}
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_OK
+    theta, density = np.loadtxt(out / "fpe_density.csv", delimiter=",", skiprows=1).T
+    assert density[:-1].sum() * (theta[1] - theta[0]) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("mode, field", [
+    ("analytic", "tau_m"), ("compare", "tau_m"), ("simulate", "t2"), ("perturb", "gamma_x"),
+])
+def test_infinite_field_exits_config(tmp_path, capsys, mode, field):
+    # unchecked, an infinite tau_m gave NaN correlators in analytic and a
+    # ZeroDivisionError in compare, simulate snapped t2 = inf to t = 0, and
+    # perturb wrote NaN rows; each exited 0 but compare
+    out = tmp_path / "out"
+    make = {"simulate": simulate_config, "analytic": analytic_config, "perturb": perturb_config,
+            "compare": lambda o: compare_config(o, count=100)}
+    cfg = dict(make[mode](out), **{field: math.inf})
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and field in err and "inf" in err
+    assert not (out / "manifest.json").exists()
+
+
+BIG = 10**12
+
+
+@pytest.mark.parametrize("mode, field, value", [
+    ("analytic", "state_points", BIG), ("fpe", "theta_points", BIG),
+    ("analytic", "t1_grid", {"start": 0.5, "stop": 1.0, "num": BIG}),
+    ("perturb", "t1_grid", {"start": 0.5, "stop": 1.0, "num": BIG}),
+    ("compare", "t1_grid", {"start": 0.5, "stop": 1.0, "num": BIG}),
+    ("simulate", "t1_grid", {"start": 0.2, "stop": 1.0, "num": BIG}),
+    ("fpe", "times", {"start": 0.5, "stop": 1.0, "num": BIG}),
+    ("compare", "count", BIG),
+])
+def test_size_past_memory_exits_config(tmp_path, capsys, mode, field, value):
+    # unchecked, each escaped as a MemoryError traceback under a 3 GB
+    # address-space cap, exit 1; compare's count asked for 550 GiB of draws
+    out = tmp_path / "out"
+    make = {"simulate": simulate_config, "analytic": analytic_config, "fpe": fpe_config,
+            "perturb": perturb_config, "compare": compare_config}
+    cfg = dict(make[mode](out), **{field: value})
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and field in err and "physical memory" in err
+    assert not (out / "manifest.json").exists()
+
+
 def simulate_config(out, seed=3):
     return {
         "schema_version": 1,

@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from xzmeas import fpe
-from xzmeas.analytic import BoundaryCondition, SeriesError, cond_avg_phase
+from xzmeas import analytic, fpe
+from xzmeas.analytic import BoundaryCondition, SeriesError
 from xzmeas.core import DomainError
 from xzmeas.fpe import (
+    CROSSOVER,
     KernelParams,
     _wrapped_gaussian,
-    cond_avg_fpe,
     cond_avg_fpe_quadrature,
     transition_prob,
     two_sided_density,
 )
+
+from conftest import source_average
 
 
 KP = KernelParams.from_tau(1.0)
@@ -69,13 +71,24 @@ def test_transition_prob_normalized():
 
 
 def test_transition_prob_series_vs_wrapped_gaussian():
-    # both representations agree through the crossover D*dt in [0.005, 0.02]
+    # both representations agree to 1e-12 absolutely at D*dt in [0.005, 0.02],
+    # far below CROSSOVER; there the series loses only the far tail
     from xzmeas.fpe import _fourier_kernel, _wrapped_gaussian
 
     for x in (0.005, 0.008, 0.01, 0.012, 0.02):
         a = _fourier_kernel(GRID - 0.7, x)
         b = _wrapped_gaussian(GRID - 0.7, x)
         assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_fourier_branch_keeps_the_far_tail():
+    # with CROSSOVER at D*dt = 0.01, the cosine series gave -7.9e-16 for the
+    # density 7.1e-52 at d = 2.18, and relative errors up to 1e90
+    d = np.linspace(0.0, math.pi, 201)
+    for x in np.linspace(CROSSOVER, 0.5, 7):
+        np.testing.assert_allclose(transition_prob(d, x / KP.diffusion, 0.0, 0.0, KP),
+                                   _wrapped_gaussian(d, x), rtol=1e-10, atol=0)
+    assert transition_prob(2.18, 0.02, 0.0, 0.0, KP) == pytest.approx(7.11e-52, rel=1e-3)
 
 
 @pytest.mark.parametrize("x", [1e-6, 1e-3, 0.0099])
@@ -155,47 +168,54 @@ def test_two_sided_marginalizes_two_point_joint():
     assert np.max(np.abs(marg - w1)) < 1e-8
 
 
+# The conditional average as a series over the kernel's Fourier modes is, by
+# Poisson resummation, analytic's resummed winding series; the tests below
+# force that branch and check it against the direct winding sum and against
+# quadrature of the kernel.
+
 def test_cond_avg_fpe_matches_analytic(rng):
     for _ in range(20):
         t1, t2 = np.sort(rng.uniform(0.05, BC.t_total - 0.05, 2))
         s1, s2 = rng.choice([-1, 1], 2)
         src = ((int(s1), float(t1)), (int(s2), float(t2)))
-        a = cond_avg_phase(src, BC)
-        b = cond_avg_fpe(src, BC, KP)
+        a = source_average(src, BC, resummed=False)
+        b = source_average(src, BC, resummed=True)
         assert abs(a - b) < 1e-10
-        # either route takes the sources in any order
-        assert cond_avg_phase(src[::-1], BC) == pytest.approx(a, abs=1e-14)
-        assert cond_avg_fpe(src[::-1], BC, KP) == b
+        # either branch takes the sources in any order
+        assert source_average(src[::-1], BC, resummed=False) == pytest.approx(a, abs=1e-14)
+        assert source_average(src[::-1], BC, resummed=True) == pytest.approx(b, abs=1e-14)
 
 
 def test_cond_avg_fpe_truncated_series_raises(monkeypatch):
     src = ((1, 0.9), (-1, 2.1))
-    cond_avg_fpe(src, BC, KP)
-    monkeypatch.setattr(fpe, "MAX_MODES", 1)
+    source_average(src, BC, resummed=True)
+    monkeypatch.setattr(analytic, "MAX_WINDINGS", 1)
     with pytest.raises(SeriesError, match="not converged"):
-        cond_avg_fpe(src, BC, KP)
+        source_average(src, BC, resummed=True)
+    monkeypatch.setattr(fpe, "MAX_MODES", 1)
     with pytest.raises(SeriesError, match="not converged"):
         transition_prob(0.3, 1.0, 0.7, 0.0, KP)  # the Fourier branch
 
 
 def test_cond_avg_fpe_raises_where_its_mode_sum_cancels():
-    # at T/tau = 0.01 with theta_f - theta_in = 2.18 the plain Fourier-mode
-    # sum cancels to ~5e-15 against terms of total modulus 25; unchecked, the
-    # series returned 0.95+0.04j where both other routes give 0.363+0.930j
-    bc = BoundaryCondition(math.pi / 4, 1.0, math.pi / 4 + 2.18, 0.01)
-    src = [(-1, 0.002), (1, 0.0075)]
-    exact = cond_avg_phase(src, bc)
-    assert exact == pytest.approx(0.363 + 0.930j, abs=1e-3)
+    # at T/tau = 0.02 with theta_f - theta_in = 2.18 the plain Fourier-mode
+    # sum cancels to ~3e-15 against terms of total modulus 18; at T/tau = 0.01
+    # its 64-mode tails are not converged before it gets that far
+    bc = BoundaryCondition(math.pi / 4, 1.0, math.pi / 4 + 2.18, 0.02)
+    src = [(-1, 0.004), (1, 0.015)]
+    exact = source_average(src, bc, resummed=False)
+    assert exact == pytest.approx(0.362 + 0.929j, abs=1e-3)
     assert cond_avg_fpe_quadrature(src, bc, KP, grid=4096) == pytest.approx(exact, abs=1e-12)
     with pytest.raises(SeriesError, match="cancelled"):
-        cond_avg_fpe(src, bc, KP)
+        source_average(src, bc, resummed=True)
 
 
 def test_cond_avg_fpe_matches_quadrature():
     src = ((1, 0.9), (-1, 2.1))
-    series = cond_avg_fpe(src, BC, KP)
+    series = source_average(src, BC, resummed=True)
     quad = cond_avg_fpe_quadrature(src, BC, KP)
     assert abs(series - quad) < 1e-8
     # single source
     src1 = ((1, 1.3),)
-    assert abs(cond_avg_fpe(src1, BC, KP) - cond_avg_fpe_quadrature(src1, BC, KP)) < 1e-8
+    series1 = source_average(src1, BC, resummed=True)
+    assert abs(series1 - cond_avg_fpe_quadrature(src1, BC, KP)) < 1e-8

@@ -5,14 +5,7 @@ import pytest
 
 from xzmeas.core import ChannelConfig, DomainError, SimConfig, polar_to_bloch
 from xzmeas.estimator import SelectionCriterion, covariance, correlate, select
-from xzmeas.perturb import (
-    EigenDecomposition,
-    TreeParams,
-    cov_tree,
-    eig_decoherence,
-    mean_tree,
-    var_tree,
-)
+from xzmeas.perturb import TreeParams, cov_tree, mean_tree, var_tree
 from xzmeas.sde import run_ensemble
 
 
@@ -89,36 +82,6 @@ def test_var_tree_small_time_rate():
     assert rate_x == pytest.approx(expect_x, rel=1e-5)
 
 
-def test_eig_decoherence_limits():
-    # phi = 0: both channels dephase along z; rates add in one eigenvalue
-    e0 = eig_decoherence(1.0, 0.5, 0.0)
-    assert e0.lambda_plus == pytest.approx(0.0, abs=1e-12)
-    assert e0.lambda_minus == pytest.approx(-1.5)
-    # phi = pi/2: eigenvalues are the two separate rates
-    e90 = eig_decoherence(1.0, 0.5, math.pi / 2)
-    assert sorted((e90.lambda_plus, e90.lambda_minus)) == pytest.approx([-1.0, -0.5])
-    assert e90.xi == pytest.approx(0.25)
-
-
-def test_eig_decoherence_matches_drift_matrix(rng):
-    # the nontrivial xz block of the mean evolution has these eigenvalues
-    for _ in range(10):
-        gz = float(rng.uniform(0.1, 2.0))
-        gp = float(rng.uniform(0.1, 2.0))
-        phi = float(rng.uniform(0, math.pi))
-        s2 = 0.5 * gp * math.sin(2 * phi)
-        a = np.array(
-            [
-                [-(gz + gp * math.cos(phi) ** 2), s2],
-                [s2, -gp * math.sin(phi) ** 2],
-            ]
-        )
-        lams = np.sort(np.linalg.eigvalsh(a))
-        e = eig_decoherence(gz, gp, phi)
-        assert lams[0] == pytest.approx(e.lambda_minus, rel=1e-12, abs=1e-12)
-        assert lams[1] == pytest.approx(e.lambda_plus, rel=1e-12, abs=1e-12)
-
-
 def test_tree_params_validation():
     with pytest.raises(DomainError):
         TreeParams(0.0, 1.0, 0.1, 0.1, 0.0, 1.0)
@@ -129,9 +92,6 @@ def test_tree_params_validation():
     for gamma_x, gamma_z, x_in in ((math.nan, 1.0, 0.0), (1.0, math.nan, 0.0), (1.0, 1.0, math.nan)):
         with pytest.raises(DomainError):
             TreeParams(gamma_x, gamma_z, 0.1, 0.1, x_in, 1.0)
-    for gamma_z, gamma_phi in ((math.nan, 0.5), (0.5, math.nan), (0.0, 0.5), (0.5, -1.0)):
-        with pytest.raises(DomainError):
-            eig_decoherence(gamma_z, gamma_phi, 0.3)
     # unchecked, a NaN time gave NaN covariances and means
     for t1, t2 in ((math.nan, 0.5), (0.5, np.array([0.2, math.nan])), (-0.1, 0.5)):
         with pytest.raises(DomainError, match=">= 0"):
