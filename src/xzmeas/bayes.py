@@ -49,7 +49,6 @@ texts and names the line of each error.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 
@@ -231,15 +230,6 @@ def _chunk_products(records: list, cfg: SimConfig, turns: list) -> np.ndarray:
     return q
 
 
-def _worker(chunks: int):
-    """The executor of a final pass's stages, or a null context for none."""
-    if chunks > 1:
-        return contextlib.nullcontext()
-    from concurrent.futures import ThreadPoolExecutor  # here, as it imports logging
-    # numpy's error state is per thread: the worker ignores what the caller does
-    return ThreadPoolExecutor(max_workers=1, initializer=np.seterr, initargs=("ignore",))
-
-
 def reconstruct_batch(r_z: np.ndarray, r_x: np.ndarray, q_in: np.ndarray,
                       cfg: SimConfig) -> np.ndarray:
     """Replay of a batch.  r_z, r_x: (n_steps, m) readouts of the z and phi
@@ -249,9 +239,10 @@ def reconstruct_batch(r_z: np.ndarray, r_x: np.ndarray, q_in: np.ndarray,
 
     Each span of the final pass sits in one of two (span, 4, chunks, m)
     buffers, first as its coefficients, then as its unnormalised states.  A
-    plain recursion runs the stages that normalise and fill them on a worker
-    thread (``_worker``) while this one scans, and first-touches the output;
-    a chunked scan runs them here after each scan.
+    plain recursion runs the stages that normalise and fill them on
+    ``_look_ahead``'s worker thread while this one scans, and first-touches
+    the output; a chunked scan runs them here after each scan, and imports
+    no executor.
 
     Raises ValueError unless r_z and r_x are 2-D and of one shape,
     DomainError unless q_in is 3 finite values with |q|^2 <= 1 +
@@ -308,8 +299,8 @@ def reconstruct_batch(r_z: np.ndarray, r_x: np.ndarray, q_in: np.ndarray,
 
     def scan(k):
         """Scan span k block by block, each from the last one's end rescaled to
-        w = 1; then, where a worker normalises, write one value to each 4 kB
-        page of span k + 1's output, which the stage overwrites."""
+        w = 1; then, in a plain recursion, write one value to each 4 kB page
+        of span k + 1's output, which the stage overwrites."""
         nonlocal q
         if k < len(spans):
             coef = spans[k][1]
@@ -317,10 +308,10 @@ def reconstruct_batch(r_z: np.ndarray, r_x: np.ndarray, q_in: np.ndarray,
                 block = coef[:, j:j + _BLOCK]
                 last = _scan(q, block, turns, block.swapaxes(0, 1))
                 q = np.concatenate([np.ones((1, chunks, m)), last[1:] / last[:1]])
-        if worker and chunks == 1:
+        if chunks == 1:
             states[1 + (k + 1) * span:1 + (k + 2) * span].reshape(-1)[::512] = 0.0
 
-    with _worker(chunks) as worker, np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
         if chunks > 1:
             prods = _chunk_products(records, cfg, turns)
             for i in range(chunks - 1):
@@ -328,7 +319,7 @@ def reconstruct_batch(r_z: np.ndarray, r_x: np.ndarray, q_in: np.ndarray,
                 start[:, i + 1] = v / v[0]
         q = start
         _look_ahead([[functools.partial(stage, k)] for k in range(-1, len(spans) + 1)], scan,
-                    worker, share=False)
+                    threaded=chunks == 1, share=False)
     if first:
         raise ReconstructionError(first[1])
     return states[:n + 1].transpose(0, 2, 1)

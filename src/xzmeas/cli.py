@@ -246,6 +246,10 @@ def _mode_perturb(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
         raise ConfigError(f"theta_in must be finite, got {theta_in}")
     p = TreeParams(*rates, x_in=math.sin(theta_in), z_in=math.cos(theta_in))
     t1, t2 = _curve(cfg)
+    for key, t in (("t1_grid", t1), ("t2", np.array([t2]))):
+        bad = t[~((t >= 0) & (t < math.inf))]  # NaN included
+        if bad.size:
+            raise DomainError(f"{key} must be finite and >= 0, got {bad[0]}")
     ts = t1.tolist()
     rows = []
     for kind in _kinds(cfg):
@@ -395,6 +399,10 @@ def run(config_path, seed=None, output=None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError:
+        # past an address-space cap, below the physical memory require_memory checks
+        print(f"config error: mode {cfg.get('mode')!r} ran out of memory", file=sys.stderr)
+        return EXIT_CONFIG
 
     manifest = {
         "schema_version": SCHEMA_VERSION,

@@ -55,9 +55,11 @@ def mean_tree(coord: str, t, p: TreeParams):
     return out if out.ndim else float(out)
 
 
+@np.errstate(all="ignore")
 def cov_tree(kind: str, t1, t2, p: TreeParams) -> float | np.ndarray:
     """Tree-level connected covariance; kind in {zx, zz, xx}.  The leading
-    z-z term is the corrected one (see module notes)."""
+    z-z term is the corrected one (see module notes).  A value that
+    overflows a float, as at rates near 1e300, raises DomainError."""
     t1 = np.asarray(t1, dtype=float)
     t2 = np.asarray(t2, dtype=float)
     if not (np.all(t1 >= 0) and np.all(t2 >= 0)):  # negated so that NaN fails
@@ -83,6 +85,9 @@ def cov_tree(kind: str, t1, t2, p: TreeParams) -> float | np.ndarray:
         )
     else:
         raise DomainError(f"unknown covariance kind {kind!r}")
+    if not np.all(np.isfinite(out)):
+        raise DomainError(f"cov_{kind} is not finite at rates gamma_x {p.gamma_x},"
+                          f" gamma_z {p.gamma_z}")
     return out if out.ndim else float(out)
 
 

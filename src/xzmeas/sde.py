@@ -336,17 +336,19 @@ def run_ensemble(cfg: SimConfig, count: int, keep_readouts: bool = True,
     ``count``, ``stream_offset``, chunking or CPU count, bit for bit.
     ``stream_offset`` lets callers build one large logical ensemble in slabs.
 
-    Chunks of up to ``_CHUNK`` members, cut at multiples of ``_CHUNK``, run one
-    after another, and each steps through its noise one ``_SLICE`` of time at a
-    time.  One worker thread, started for the whole call, starts drawing the
-    next slice while the calling thread steps this one; the calling thread then
-    draws the blocks the worker has not reached.  The draws do not depend on
-    which thread makes them.  An error in a draw on either thread is raised on
-    the calling thread once the worker has ended.  An IntegratorError names the
-    step and the chunk's stream range.  States and readouts that would exceed
-    physical memory raise DomainError before anything is allocated.
+    Members are stepped in chunks of up to ``_CHUNK``, cut at multiples of
+    ``_CHUNK``, one ``_SLICE`` of time at a time.  Every slice of every chunk,
+    in chunk order and then time order, goes through one ``_look_ahead``
+    pipeline: its worker thread draws the next slice, the next chunk's first
+    included, while this thread steps the current one and then draws the
+    blocks the worker has not reached.  Draws sit in two (block, step,
+    channel, column) buffers sized for the widest chunk, each block in a
+    contiguous part, which the kernel reads transposed.  Each block is drawn
+    once, by one thread, from its own generator.  An error in a draw on either
+    thread is raised here once the worker has ended; an IntegratorError names
+    the step and the chunk's stream range.  States and readouts that would
+    exceed physical memory raise DomainError before anything is allocated.
     """
-    from concurrent.futures import ThreadPoolExecutor  # here, as it imports logging
     if count < 1:
         raise ValueError("count must be >= 1")
     if stream_offset < 0 or stream_offset + count > 2**64:
@@ -360,18 +362,32 @@ def run_ensemble(cfg: SimConfig, count: int, keep_readouts: bool = True,
     readouts = np.empty((n, 2, count)) if keep_readouts else None
     states[0] = cfg.initial_state.as_array()[:, None]
     edges = [base, *range((base // _CHUNK + 1) * _CHUNK, base + count, _CHUNK), base + count]
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        for lo, hi in zip(edges, edges[1:]):
-            members = slice(lo - base, hi - base)
-            first_block = lo // _BLOCK_IDS
-            gens = [_block_generator(cfg.rng_seed, b)
-                    for b in range(first_block, -(-hi // _BLOCK_IDS))]
-            lanes = slice(lo - first_block * _BLOCK_IDS, hi - first_block * _BLOCK_IDS)
-            try:
-                _run_chunk(cfg, gens, lanes, worker, states[:, :, members],
-                           None if readouts is None else readouts[:, :, members])
-            except IntegratorError as exc:
-                raise IntegratorError(f"{exc} (streams {lo}..{hi - 1})") from exc
+    width = max(-(-hi // _BLOCK_IDS) - lo // _BLOCK_IDS for lo, hi in zip(edges, edges[1:]))
+    bufs = [np.empty((width, min(_SLICE, n), 2, _BLOCK_IDS)) for _ in range(2)]
+    # per slice of each chunk: the chunk's stream ids lo..hi-1, its blocks'
+    # generators and its columns among theirs, the slice's steps and buffer
+    items = []
+    for lo, hi in zip(edges, edges[1:]):
+        first_block = lo // _BLOCK_IDS
+        gens = [_block_generator(cfg.rng_seed, b) for b in range(first_block, -(-hi // _BLOCK_IDS))]
+        lanes = slice(lo - first_block * _BLOCK_IDS, hi - first_block * _BLOCK_IDS)
+        for k0 in range(0, n, _SLICE):
+            k1 = min(k0 + _SLICE, n)
+            items.append((lo, hi, gens, lanes, k0, k1, bufs[len(items) % 2][:len(gens), :k1 - k0]))
+
+    def step(i):
+        lo, hi, _, lanes, k0, k1, noise = items[i]
+        path = states[k0:k1 + 1, :, lo - base:hi - base]
+        try:
+            _propagate(path[0], noise.transpose(1, 2, 0, 3), cfg, path,
+                       None if readouts is None else readouts[k0:k1, :, lo - base:hi - base],
+                       k0, lanes)
+        except IntegratorError as exc:
+            raise IntegratorError(f"{exc} (streams {lo}..{hi - 1})") from exc
+
+    # a slice's pieces: one draw per block
+    _look_ahead([(functools.partial(_draw, [g], out) for g, out in zip(gens, noise[:, None]))
+                 for _, _, gens, _, _, _, noise in items], step, threaded=True)
     return Ensemble(
         times=cfg.times,
         states=states.transpose(2, 0, 1),
@@ -383,48 +399,18 @@ def run_ensemble(cfg: SimConfig, count: int, keep_readouts: bool = True,
     )
 
 
-def _run_chunk(cfg: SimConfig, gens: list, lanes: slice, worker, states, readouts) -> None:
-    """Step one chunk from its initial states ``states[0]``: ``gens`` are its
-    blocks' generators, ``lanes`` its members' columns among the blocks'
-    columns, ``states``/``readouts`` its (time, coordinate, member) views.
-
-    Draws sit in (block, step, channel, column) slices, so each block fills a
-    contiguous part; the kernel reads them transposed.  Each slice's block
-    draws are the pieces ``_look_ahead`` shares between ``worker`` and this
-    thread, one slice ahead of the steps, in two buffers.  Each block is
-    drawn once, by one thread, from its own generator.
-    """
-    n = len(states) - 1
-    cuts = [(k0, min(k0 + _SLICE, n)) for k0 in range(0, n, _SLICE)]
-    bufs = [np.empty((len(gens), min(_SLICE, n), 2, _BLOCK_IDS)) for _ in range(2)]
-
-    def noise(k):
-        """Slice k's buffer, a (block, step, channel, column) view."""
-        k0, k1 = cuts[k]
-        return bufs[k % 2][:, :k1 - k0]
-
-    def step(k):
-        k0, k1 = cuts[k]
-        _propagate(states[k0], noise(k).transpose(1, 2, 0, 3), cfg, states[k0:k1 + 1],
-                   None if readouts is None else readouts[k0:k1], k0, lanes)
-
-    def draws(k):
-        """Slice k's pieces: one draw per block."""
-        return (functools.partial(_draw, [g], out) for g, out in zip(gens, noise(k)[:, None]))
-
-    _look_ahead([draws(k) for k in range(len(cuts))], step, worker)
-
-
-def _look_ahead(items: list, run, worker=None, share: bool = True) -> None:
+def _look_ahead(items: list, run, threaded: bool, share: bool = True) -> None:
     """Call ``run(k)`` on this thread for each k of ``items`` once item k's
     pieces, callables with no arguments, are done, while item k + 1's are.
 
-    An item's pieces go out one at a time from one shared iterator:
-    ``worker``, an executor or None, starts taking them as ``run`` of the
-    item before starts, and this thread takes the pieces still left once that
-    returns (without a worker, all of them; with one, only where ``share``),
-    then waits for the worker's last one.  A piece's error is raised once
-    the worker is done with its item.
+    An item's pieces go out one at a time from one shared iterator.  Where
+    ``threaded``, one worker thread, started here and joined before this
+    returns or raises, starts taking them as ``run`` of the item before
+    starts, and this thread takes the pieces still left once that returns
+    (without a worker, all of them; with one, only where ``share``), then
+    waits for the worker's last one.  The worker ignores floating-point
+    errors; numpy's error state is per thread, so this thread's stays as it
+    is.  A piece's error is raised once the worker is done with its item.
     """
     lock = threading.Lock()
 
@@ -438,20 +424,28 @@ def _look_ahead(items: list, run, worker=None, share: bool = True) -> None:
 
     def start(k):
         pieces = iter(items[k])
-        return pieces, worker and worker.submit(take, pieces)
+        return pieces, worker and worker.submit(np.errstate(all="ignore")(take), pieces)
 
-    pending = start(0) if items else None
-    for k in range(len(items)):
-        pieces, busy = pending
-        try:
-            if share or not busy:
-                take(pieces)
-        finally:
-            if busy:
-                busy.result()
-        if k + 1 < len(items):
-            pending = start(k + 1)
-        run(k)
+    worker = None
+    if threaded:
+        from concurrent.futures import ThreadPoolExecutor  # here, as it imports logging
+        worker = ThreadPoolExecutor(max_workers=1)
+    try:
+        pending = start(0) if items else None
+        for k in range(len(items)):
+            pieces, busy = pending
+            try:
+                if share or not busy:
+                    take(pieces)
+            finally:
+                if busy:
+                    busy.result()
+            if k + 1 < len(items):
+                pending = start(k + 1)
+            run(k)
+    finally:
+        if worker:
+            worker.shutdown()
 
 
 def _sample_times(sample_times) -> np.ndarray:

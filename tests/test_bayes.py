@@ -509,8 +509,9 @@ def test_replay_of_empty_record_is_initial_state():
 def _stages_on(monkeypatch, worker: bool) -> None:
     """Run every final pass's stages on one worker thread, or on the calling
     thread, whatever the batch's shape."""
-    plain = bayes._worker
-    monkeypatch.setattr(bayes, "_worker", lambda chunks: plain(1 if worker else 2))
+    look_ahead = bayes._look_ahead
+    monkeypatch.setattr(bayes, "_look_ahead", lambda items, run, threaded, share:
+                        look_ahead(items, run, worker, share))
 
 
 @pytest.mark.parametrize("r_z, r_x", [

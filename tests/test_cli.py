@@ -337,6 +337,35 @@ def test_infinite_field_exits_config(tmp_path, capsys, mode, field):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("field, value", [("t1_grid", [0.5, math.inf]), ("gamma_x", 1e300)])
+def test_perturb_refuses_a_row_that_is_not_finite(tmp_path, capsys, field, value):
+    # unchecked, an infinite time wrote 2 NaN rows, and a rate of 1e300 wrote
+    # 4 after an overflow in exp, each with exit 0
+    out = tmp_path / "out"
+    cfg = dict(perturb_config(out), **{field: value})
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error [DomainError]") and field in err
+    assert not (out / "perturb_correlators.csv").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def test_memory_error_under_an_address_space_cap_exits_config(tmp_path):
+    # 1e8 state points pass the physical-memory check, but not a 1.5 GB cap
+    # on the address space; the MemoryError escaped as a traceback, exit 1
+    pytest.importorskip("resource")
+    cfg = write_config(tmp_path, dict(analytic_config(tmp_path / "out"), state_points=10**8))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import resource, sys; hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1536 * 2**20, hard)); "
+            "from xzmeas import cli; sys.exit(cli.run(sys.argv[1]))")
+    done = subprocess.run([sys.executable, "-c", code, str(cfg)],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+    assert done.returncode == cli.EXIT_CONFIG, done.stderr
+    assert done.stderr.startswith("config error") and "memory" in done.stderr
+
+
 BIG = 10**12
 
 

@@ -470,6 +470,99 @@ def test_ensemble_deterministic_across_workers_and_chunks(monkeypatch):
     assert not any(w.is_alive() for w in workers)
 
 
+def test_every_chunk_runs_through_one_pipeline(monkeypatch):
+    # three chunks of one block and two slices each: one executor serves the
+    # whole call, and the worker draws a chunk's first slice before the last
+    # slice of the chunk before it is stepped
+    cfg = general_config(t_final=(sde._SLICE + 3) * 0.002, seed=12)
+    ref = _run_with(monkeypatch, cfg, 3 * 64, chunk=5120)
+    events, executors = [], []
+
+    class Recording(ThreadPoolExecutor):
+        """Notes each submit, and waits until the worker has drawn its pieces."""
+
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            executors.append(self)
+
+        def submit(self, fn, *args):
+            events.append(("submit",))
+            done = super().submit(fn, *args)
+            concurrent.futures.wait([done])
+            return done
+
+    draw, propagate = sde._draw, sde._propagate
+
+    def note_draw(gens, out):
+        block = int(gens[0].bit_generator.state["state"]["key"][1])
+        events.append(("draw", block, _drawer()))
+        draw(gens, out)
+
+    def note_step(q, xi, cfg, states, readouts, first, lanes):
+        events.append(("step", first))
+        propagate(q, xi, cfg, states, readouts, first, lanes)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(sde, "_draw", note_draw)
+    monkeypatch.setattr(sde, "_propagate", note_step)
+    ens = _run_with(monkeypatch, cfg, 3 * 64, chunk=64)
+    assert np.array_equal(ens.states, ref.states)
+    assert np.array_equal(ens.r_z, ref.r_z)
+    assert np.array_equal(ens.r_phi, ref.r_phi)
+    assert len(executors) == 1
+    assert events.count(("submit",)) == 6  # one per slice of each chunk
+    steps = [i for i, e in enumerate(events) if e[0] == "step"]
+    # steps run in chunk order, then time order: step 2 c + 1 is chunk c's last
+    assert [events[i][1] for i in steps] == [0, sde._SLICE] * 3
+    assert {e[2] for e in events if e[0] == "draw"} == {"worker"}
+    for c in (0, 1):
+        assert events.index(("draw", c + 1, "worker")) < steps[2 * c + 1]
+
+
+@pytest.mark.filterwarnings("error")
+def test_look_ahead_worker_ignores_float_errors():
+    # a piece on the worker divides by zero; it neither warns nor raises, and
+    # the calling thread's own error state is left as it was
+    got = []
+
+    def divide():
+        got.append((threading.current_thread(), np.ones(1) / 0.0))
+
+    with np.errstate(divide="raise"):
+        before = np.geterr()
+        sde._look_ahead([[divide]], lambda k: None, threaded=True, share=False)
+        assert np.geterr() == before
+        with pytest.raises(FloatingPointError):
+            np.ones(1) / 0.0
+    ((thread, value),) = got
+    assert thread is not threading.main_thread() and value[0] == np.inf
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_look_ahead_joins_its_worker(fail):
+    # the worker has ended when the call returns, or raises a piece's error
+    threads, runs = [], []
+    before = threading.active_count()
+
+    def piece():
+        threads.append(threading.current_thread())
+        if fail and len(threads) == 2:
+            raise _DrawFailed
+
+    def call():
+        sde._look_ahead([[piece] for _ in range(3)], runs.append, threaded=True, share=False)
+
+    if fail:
+        with pytest.raises(_DrawFailed):
+            call()
+    else:
+        call()
+    assert runs == ([0] if fail else [0, 1, 2])
+    assert len(set(threads)) == 1 and threads[0] is not threading.main_thread()
+    assert not threads[0].is_alive()
+    assert threading.active_count() == before
+
+
 def test_ensemble_members_match_single_trajectories():
     cfg = ideal_xz_config(t_final=0.1, seed=3)
     ens = run_ensemble(cfg, 5)
