@@ -38,9 +38,9 @@ def mc_correlators(t_total=3.5, t2=1.75, count=200_000, window=0.05, seed=2):
     sub = select_polar(crit, TAU, times, count, seed=seed)
     bc = BoundaryCondition(THETA_IN, TAU, THETA_F, t_total)
     rows = []
-    for kind in ("zz", "zx", "xx"):
+    kinds = ("zz", "zx", "xx")
+    for kind, exact in zip(kinds, correlator_cond(kinds, t1_grid, t2, bc)):
         mc, se = correlate(sub, kind[0], kind[1], t1_grid, t2)
-        exact = correlator_cond(kind, t1_grid, t2, bc)
         curves = (t1_grid, exact, mc, se)
         rows += [(kind, *r) for r in zip(*(v.tolist() for v in curves))]
     return sub.acceptance_rate, rows

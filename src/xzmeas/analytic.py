@@ -14,7 +14,7 @@ an argument.  A tail term above ``SERIES_TOL`` of the peak raises SeriesError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,53 +164,55 @@ def _source_average(signs, times, bc, resummed=None) -> np.ndarray:
     return avg
 
 
-_POINT_KINDS = {"z", "x"}
+def _correlators(kind_rows, times, bc: BoundaryCondition):
+    """<a1(t1)...an(tn)> for each kind string of a1.. in {x, z}: weightings (z 1/2
+    per sign, x s/(2i)) of one ``_source_average`` over the 2^n sign patterns.
+    ``times`` of shape (n,) gives a list of floats, (m, n) a (kinds, m) array."""
+    times = np.asarray(times, dtype=float)
+    rows = np.atleast_2d(times)
+    n = rows.shape[-1]
+    if rows.ndim != 2 or any(len(k) != n or not set(k) <= {"z", "x"} for k in kind_rows):
+        raise DomainError("kinds must be x/z labels matching times")
+    if n > MAX_POINTS:
+        raise DomainError(f"correlators take at most MAX_POINTS = {MAX_POINTS} points, got {n}")
+    # row b of signs is the binary expansion of b, bit 1 -> s = -1
+    signs = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+    avg = _source_average(signs, rows, bc)
+    out = np.empty((len(kind_rows), len(rows)))
+    for row, kinds in zip(out, kind_rows):
+        weights = np.ones(2**n, dtype=complex)
+        for j, k in enumerate(kinds):
+            weights *= 0.5 if k == "z" else signs[:, j] / 2j
+        total = np.einsum("mk,k->m", avg, weights)
+        worst = float(np.max(np.abs(total.imag), initial=0.0))
+        if worst > 1e-12:
+            raise SeriesError(f"correlator has spurious imaginary part {worst:.3g}")
+        row[:] = total.real
+    return out[:, 0].tolist() if times.ndim == 1 else out
 
 
 def correlator_npoint(kinds, times, bc: BoundaryCondition):
     """General n-point correlator <a1(t1)...an(tn)> for a1.. in {x, z}.
 
-    ``times`` of shape (n,) gives a float, an (m, n) array m values.  Each z
-    contributes weight 1/2 per sign, each x contributes s/(2i).  The cost
+    ``times`` of shape (n,) gives a float, an (m, n) array m values.  The cost
     doubles with each point, so n is capped at ``MAX_POINTS``.
     """
-    kinds = list(kinds)
-    times = np.asarray(times, dtype=float)
-    rows = np.atleast_2d(times)
-    n = len(kinds)
-    if rows.ndim != 2 or rows.shape[1] != n or any(k not in _POINT_KINDS for k in kinds):
-        raise DomainError("kinds must be x/z labels matching times")
-    if n > MAX_POINTS:
-        raise DomainError(
-            f"correlator_npoint takes at most MAX_POINTS = {MAX_POINTS} points, got {n}"
-        )
-    # row b of signs is the binary expansion of b, bit 1 -> s = -1
-    signs = 1.0 - 2.0 * ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
-    weights = np.ones(2**n, dtype=complex)
-    for j, k in enumerate(kinds):
-        weights *= 0.5 if k == "z" else signs[:, j] / 2j
-    total = np.einsum("mk,k->m", _source_average(signs, rows, bc), weights)
-    worst = float(np.max(np.abs(total.imag), initial=0.0))
-    if worst > 1e-12:
-        raise SeriesError(f"correlator has spurious imaginary part {worst:.3g}")
-    return float(total.real[0]) if times.ndim == 1 else total.real
+    return _correlators([list(kinds)], times, bc)[0]
 
 
-def correlator_cond(kind: str, t1, t2: float, bc: BoundaryCondition):
+def correlator_cond(kind, t1, t2: float, bc: BoundaryCondition):
     """Pre/post-selected two-time correlator; kind in {zz, zx, xz, xx}.
 
-    A scalar ``t1`` gives a float, a 1-D array an ndarray.  xx is evaluated
-    as zz with both boundary angles rotated by -pi/2.
+    A scalar ``t1`` gives a float, a 1-D array an ndarray.  A sequence of
+    kinds gives one row per kind, all weightings of one pass over the four
+    phase averages <exp i(s1 theta(t1) + s2 theta(t2))>.
     """
-    pairs = np.stack(np.broadcast_arrays(np.asarray(t1, dtype=float), float(t2)), axis=-1)
-    if kind == "xz":
-        kind, pairs = "zx", pairs[..., ::-1]
-    elif kind == "xx":
-        rotated = None if bc.theta_f is None else bc.theta_f - math.pi / 2
-        kind, bc = "zz", replace(bc, theta_in=bc.theta_in - math.pi / 2, theta_f=rotated)
-    elif kind not in ("zz", "zx"):
+    kinds = [kind] if isinstance(kind, str) else list(kind)
+    if not set(kinds) <= {"zz", "zx", "xz", "xx"}:
         raise DomainError(f"unknown correlator kind {kind!r}")
-    return correlator_npoint(kind, pairs, bc)
+    pairs = np.stack(np.broadcast_arrays(np.asarray(t1, dtype=float), float(t2)), axis=-1)
+    values = _correlators(kinds, pairs, bc)
+    return values[0] if isinstance(kind, str) else np.asarray(values)
 
 
 def correlator_pre(kind: str, t1, t2, theta_in: float, tau_m: float):
@@ -242,13 +244,10 @@ def subens_avg_state(t, bc: BoundaryCondition):
     """
     if not bc.post_selected:
         raise DomainError("subens_avg_state requires a post-selected boundary")
-    T = bc.t_total
     ts = np.asarray(t, dtype=float)
-    if not np.all((0 <= ts) & (ts <= T)):
-        raise DomainError("t must lie in [0, T]")
     flat = ts.reshape(-1)
     avg = _source_average(np.ones((1, 1)), flat[:, None], bc, resummed=False)[:, 0]
     q = np.stack([avg.imag, np.zeros(len(flat)), avg.real], axis=-1)
     q[flat == 0.0] = polar_to_bloch(bc.theta_in).as_array()
-    q[flat == T] = polar_to_bloch(bc.theta_f).as_array()
+    q[flat == bc.t_total] = polar_to_bloch(bc.theta_f).as_array()
     return BlochState.from_array(q[0]) if ts.ndim == 0 else q.reshape(ts.shape + (3,))

@@ -136,8 +136,13 @@ def _kinds(cfg: dict, default=("zz", "zx", "xx")) -> list[str]:
 
 
 def _curve(cfg: dict) -> tuple[np.ndarray, float]:
-    """The ``t1_grid`` and ``t2`` fields."""
-    return _grid(cfg, "t1_grid"), _number(cfg, "t2")
+    """The ``t1_grid`` and ``t2`` fields, finite times >= 0."""
+    t1, t2 = _grid(cfg, "t1_grid"), _number(cfg, "t2")
+    for key, t in (("t1_grid", t1), ("t2", np.array([t2]))):
+        bad = t[~((t >= 0) & (t < math.inf))]  # NaN included
+        if bad.size:
+            raise DomainError(f"{key} must be finite and >= 0, got {bad}")
+    return t1, t2
 
 
 def _boundary(cfg: dict, optional=("theta_f", "t_total")) -> BoundaryCondition:
@@ -192,11 +197,11 @@ def _write_plot_script(path: Path, title: str, csv_name: str, columns) -> None:
 # modes: each takes (cfg, out, seed) and returns (outputs, gate_ok)
 # ---------------------------------------------------------------------------
 
-def _exact_correlator(kind: str, t1: np.ndarray, t2: float, bc: BoundaryCondition) -> np.ndarray:
-    """Closed-form correlator on the whole t1 grid, one call per kind."""
+def _exact_correlators(kinds: list[str], t1: np.ndarray, t2: float, bc: BoundaryCondition):
+    """Closed-form correlators on the whole t1 grid, one row per kind."""
     if bc.post_selected:
-        return correlator_cond(kind, t1, t2, bc)
-    return correlator_pre(kind, t1, t2, bc.theta_in, bc.tau_m)
+        return correlator_cond(kinds, t1, t2, bc)
+    return [correlator_pre(kind, t1, t2, bc.theta_in, bc.tau_m) for kind in kinds]
 
 
 def _mode_analytic(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
@@ -205,8 +210,8 @@ def _mode_analytic(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
     points = _count(cfg, "state_points", 101)
     require_memory(32.0 * points, f"state_points {points}")  # times and states
     rows = []
-    for kind in _kinds(cfg):
-        values = _exact_correlator(kind, t1, t2, bc)
+    kinds = _kinds(cfg)
+    for kind, values in zip(kinds, _exact_correlators(kinds, t1, t2, bc)):
         rows += [(t, t2, kind, v, 0.0, 0, 0) for t, v in zip(t1.tolist(), values.tolist())]
     csv = out / "analytic_correlators.csv"
     write_correlator_csv(csv, rows)
@@ -246,10 +251,6 @@ def _mode_perturb(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
         raise ConfigError(f"theta_in must be finite, got {theta_in}")
     p = TreeParams(*rates, x_in=math.sin(theta_in), z_in=math.cos(theta_in))
     t1, t2 = _curve(cfg)
-    for key, t in (("t1_grid", t1), ("t2", np.array([t2]))):
-        bad = t[~((t >= 0) & (t < math.inf))]  # NaN included
-        if bad.size:
-            raise DomainError(f"{key} must be finite and >= 0, got {bad[0]}")
     ts = t1.tolist()
     rows = []
     for kind in _kinds(cfg):
@@ -278,8 +279,7 @@ def _mode_compare(cfg: dict, out: Path, seed: int) -> tuple[list[str], bool]:
     n = (sub.accepted_count, sub.total_count)
     rows = []
     ok = True
-    for kind in kinds:
-        ref = _exact_correlator(kind, t1, t2, bc)
+    for kind, ref in zip(kinds, _exact_correlators(kinds, t1, t2, bc)):
         mc, se = correlate(sub, kind[0], kind[1], t1, t2)
         if np.any(np.abs(mc - ref) > n_sigma * se):
             ok = False

@@ -527,9 +527,9 @@ def polar_bridge(
 def polar_states(thetas: np.ndarray) -> np.ndarray:
     """Bloch states (..., 3) for an array of polar angles."""
     out = np.empty(thetas.shape + (3,))
-    out[..., 0] = np.sin(thetas)
+    np.sin(thetas, out=out[..., 0])
     out[..., 1] = 0.0
-    out[..., 2] = np.cos(thetas)
+    np.cos(thetas, out=out[..., 2])
     return out
 
 

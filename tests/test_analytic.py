@@ -16,7 +16,7 @@ from xzmeas.analytic import (
     subens_avg_state,
 )
 from xzmeas.core import DomainError
-from xzmeas.fpe import KernelParams, transition_prob
+from xzmeas.fpe import KernelParams, cond_avg_fpe_quadrature, transition_prob
 
 from conftest import source_average
 
@@ -311,6 +311,74 @@ def test_array_path_keeps_domain_checks():
     for t1, t2 in ((np.array([0.5, math.nan]), 1.0), (0.5, math.nan), (-0.1, 1.0)):
         with pytest.raises(DomainError, match=">= 0"):
             correlator_pre("zx", t1, t2, 0.3, 1.0)
+
+
+KINDS = ("zz", "zx", "xz", "xx")
+BRANCHES = pytest.mark.parametrize(
+    "bc",
+    [
+        BoundaryCondition(theta_in=0.3, tau_m=1.0, theta_f=2.0, t_total=0.8),
+        BoundaryCondition(theta_in=0.3, tau_m=1.0, theta_f=2.0, t_total=3.5),
+    ],
+    ids=["direct", "resummed"],  # T/tau below and above RESUM_THRESHOLD
+)
+
+
+@BRANCHES
+def test_every_kind_matches_quadrature(bc):
+    # the heat-kernel quadrature averages P = <exp i(a + b)> and
+    # M = <exp i(a - b)>, a = theta(t1) and b = theta(t2); products of sines
+    # and cosines are their real and imaginary parts
+    assert (bc.t_total / bc.tau_m > analytic.RESUM_THRESHOLD) == (bc.t_total > 1)
+    kp = KernelParams.from_tau(bc.tau_m)
+    for f1, f2 in ((0.2, 0.7), (0.7, 0.2), (0.5, 0.5), (0.05, 0.95)):
+        t1, t2 = f1 * bc.t_total, f2 * bc.t_total
+        p = cond_avg_fpe_quadrature(((1, t1), (1, t2)), bc, kp)
+        m = cond_avg_fpe_quadrature(((1, t1), (-1, t2)), bc, kp)
+        ref = ((p.real + m.real) / 2, (p.imag - m.imag) / 2,
+               (p.imag + m.imag) / 2, (m.real - p.real) / 2)
+        np.testing.assert_allclose(correlator_cond(KINDS, t1, t2, bc), ref, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "bc",
+    [
+        BoundaryCondition(theta_in=0.3, tau_m=1.0, theta_f=2.0, t_total=0.8),
+        BoundaryCondition(theta_in=0.3, tau_m=1.0, theta_f=2.0, t_total=3.5),
+        BoundaryCondition(theta_in=0.3, tau_m=1.0),
+    ],
+    ids=["direct", "resummed", "preselected"],
+)
+def test_xx_and_xz_identities(bc):
+    # xx is zz with both boundary angles rotated by -pi/2, and xz is zx with
+    # the times swapped
+    T = bc.t_total or 3.5
+    t1, t2 = np.linspace(0.0, T, 17), 0.4 * T
+    rotated = BoundaryCondition(bc.theta_in - math.pi / 2, bc.tau_m,
+                                None if bc.theta_f is None else bc.theta_f - math.pi / 2,
+                                bc.t_total)
+    xx = correlator_cond("xx", t1, t2, bc)
+    np.testing.assert_allclose(xx, correlator_cond("zz", t1, t2, rotated), rtol=1e-12, atol=1e-15)
+    xz = correlator_cond("xz", t1, t2, bc)
+    zx = [correlator_cond("zx", t2, float(t), bc) for t in t1]
+    np.testing.assert_allclose(xz, zx, rtol=1e-12, atol=1e-15)
+
+
+@BRANCHES
+def test_one_call_for_several_kinds(bc):
+    t1, t2 = np.linspace(0.0, bc.t_total, 9), 0.3 * bc.t_total
+    rows = correlator_cond(KINDS, t1, t2, bc)
+    assert isinstance(rows, np.ndarray) and rows.shape == (4, 9)
+    pairs = np.stack([t1, np.full(9, t2)], axis=-1)
+    for kind, row in zip(KINDS, rows):
+        assert row.tobytes() == correlator_cond(kind, t1, t2, bc).tobytes()
+        if kind in ("zz", "zx"):
+            assert row.tobytes() == correlator_npoint(kind, pairs, bc).tobytes()
+    one = correlator_cond(["xx", "zz"], 0.5, t2, bc)
+    assert isinstance(one, np.ndarray) and one.shape == (2,)
+    assert one.tolist() == [correlator_cond("xx", 0.5, t2, bc), correlator_cond("zz", 0.5, t2, bc)]
+    with pytest.raises(DomainError, match="unknown correlator kind"):
+        correlator_cond(["zz", "zy"], t1, t2, bc)
 
 
 @pytest.mark.parametrize("theta_in,theta_f", [(math.nan, 0.5), (0.3, math.inf), (-math.inf, None)])

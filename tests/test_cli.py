@@ -227,7 +227,7 @@ def test_nan_time_exits_config(tmp_path, capsys, mode, field):
     err = capsys.readouterr().err
     assert err.startswith("config error [DomainError]") and ">= 0" in err
     if mode == "compare":
-        assert err.rstrip().endswith("nan]")  # the sampled grid, its NaN named
+        assert err.rstrip().endswith("nan]")  # the bad entries, its NaN named
     assert not (out / "manifest.json").exists()
 
 
@@ -322,15 +322,18 @@ def test_fpe_density_just_past_the_old_crossover_integrates_to_one(tmp_path):
 
 @pytest.mark.parametrize("mode, field", [
     ("analytic", "tau_m"), ("compare", "tau_m"), ("simulate", "t2"), ("perturb", "gamma_x"),
+    ("analytic_preselected", "t2"), ("analytic_preselected", "t1_grid"),
 ])
 def test_infinite_field_exits_config(tmp_path, capsys, mode, field):
     # unchecked, an infinite tau_m gave NaN correlators in analytic and a
-    # ZeroDivisionError in compare, simulate snapped t2 = inf to t = 0, and
-    # perturb wrote NaN rows; each exited 0 but compare
+    # ZeroDivisionError in compare, simulate snapped t2 = inf to t = 0,
+    # perturb wrote NaN rows, and a pre-selected analytic run wrote a row at
+    # t = inf and an Infinity token in manifest.json; each exited 0 but compare
     out = tmp_path / "out"
     make = {"simulate": simulate_config, "analytic": analytic_config, "perturb": perturb_config,
-            "compare": lambda o: compare_config(o, count=100)}
-    cfg = dict(make[mode](out), **{field: math.inf})
+            "compare": lambda o: compare_config(o, count=100),
+            "analytic_preselected": lambda o: dict(analytic_config(o), theta_f=None, t_total=None)}
+    cfg = dict(make[mode](out), **{field: [0.1, math.inf] if field == "t1_grid" else math.inf})
     assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and field in err and "inf" in err
@@ -348,6 +351,24 @@ def test_perturb_refuses_a_row_that_is_not_finite(tmp_path, capsys, field, value
     assert err.startswith("config error [DomainError]") and field in err
     assert not (out / "perturb_correlators.csv").exists()
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["analytic", "compare"])
+def test_one_closed_form_call_per_campaign(tmp_path, monkeypatch, mode):
+    # every kind of a post-selected campaign comes from one pass over the
+    # four phase averages; the bc stays the 4th positional argument
+    calls = []
+
+    def counted(kinds, t1, t2, bc):
+        calls.append((list(kinds), bc))
+        return correlator_cond(kinds, t1, t2, bc)
+
+    monkeypatch.setattr(cli, "correlator_cond", counted)
+    kinds = ["zz", "zx", "xz", "xx"]
+    make = {"analytic": analytic_config, "compare": lambda o: compare_config(o, count=20_000)}
+    cfg = dict(make[mode](tmp_path / "out"), kinds=kinds)
+    assert cli.run(write_config(tmp_path, cfg)) == cli.EXIT_OK
+    assert [k for k, _ in calls] == [kinds] and calls[0][1].post_selected
 
 
 def test_memory_error_under_an_address_space_cap_exits_config(tmp_path):
